@@ -625,22 +625,31 @@ def cmd_success_eval(ctx: RunContext) -> EvalReport:
     )
     quality_endpoint = config.endpoint("quality_score")
     predictor_endpoint = config.endpoint("response_predict")
+    jobs = [
+        (paper, unit)
+        for paper in papers
+        for unit in model_by_paper.get(paper.paper_id, [])
+    ]
+
+    def evaluate(job):
+        paper, unit = job
+        return successeval.evaluate_unit(
+            client,
+            quality_endpoint,
+            predictor_endpoint,
+            unit,
+            paper,
+            config.thresholds.quality,
+        )
+
+    evaluations = client.map(
+        min(quality_endpoint.max_concurrency, predictor_endpoint.max_concurrency),
+        evaluate,
+        jobs,
+    )
     per_paper: dict[str, list[successeval.UnitEvaluation]] = {}
-    for paper in papers:
-        units = model_by_paper.get(paper.paper_id, [])
-        if not units:
-            continue
-        per_paper[paper.paper_id] = [
-            successeval.evaluate_unit(
-                client,
-                quality_endpoint,
-                predictor_endpoint,
-                unit,
-                paper,
-                config.thresholds.quality,
-            )
-            for unit in units
-        ]
+    for (paper, _), evaluation in zip(jobs, evaluations):
+        per_paper.setdefault(paper.paper_id, []).append(evaluation)
     if not per_paper:
         raise PipelineError("success-eval: no model feedback for this split")
     all_evals = [e for evals in per_paper.values() for e in evals]

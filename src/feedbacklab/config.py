@@ -146,7 +146,12 @@ class PipelineConfig:
         return (self.base_dir / self.stub_fixture).resolve()
 
     def as_dict(self) -> dict[str, Any]:
-        """Semantic content only; used for hashing and display."""
+        """Semantic content only; used for hashing and display.
+
+        Endpoint throughput settings (requests_per_minute,
+        max_concurrency) change no result, so they stay out: raising
+        them reuses the run directory and its cache.
+        """
         endpoints = {}
         for task in sorted(self.endpoints):
             e = self.endpoints[task]
@@ -157,8 +162,6 @@ class PipelineConfig:
                 "max_output_tokens": e.max_output_tokens,
                 "temperature": e.temperature,
                 "extra_params": dict(e.extra_params),
-                "requests_per_minute": e.requests_per_minute,
-                "max_concurrency": e.max_concurrency,
             }
         fixture = self.stub_fixture_path()
         return {

@@ -245,31 +245,6 @@ def prefilter_pairs(
     return edges
 
 
-def judge_match(
-    client: JudgeClient,
-    endpoint: EndpointConfig,
-    edge: MatchEdge,
-    abstract: str,
-    left_text: str,
-    right_text: str,
-) -> MatchEdge:
-    """Judge one prefiltered pair for semantic match."""
-    response = client.complete(
-        endpoint,
-        PAIR_MATCH,
-        {
-            "abstract": abstract,
-            "left_text": left_text,
-            "right_text": right_text,
-        },
-    )
-    return replace(
-        edge,
-        judged=response.parsed["match"] == "1",
-        explanation=response.parsed["explanation"],
-    )
-
-
 def judge_edges(
     client: JudgeClient,
     endpoint: EndpointConfig,
@@ -701,7 +676,6 @@ __all__ = [
     "build_stratum_table",
     "calibrate_threshold",
     "prefilter_pairs",
-    "judge_match",
     "judge_edges",
     "build_consensus",
     "consensus_clusters",

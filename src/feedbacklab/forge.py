@@ -631,18 +631,29 @@ def build_corruption_bank(
     seed: int = 0,
     max_units_per_paper: int | None = None,
 ) -> tuple[dict[str, list[CorruptionVariant]], list[FilterStats]]:
-    """Corrupt and verify every successful unit across papers."""
-    bank: dict[str, list[CorruptionVariant]] = {}
-    all_stats: list[FilterStats] = []
-    for paper in papers:
-        targets = paper.successful_units()
-        if max_units_per_paper is not None:
-            targets = targets[:max_units_per_paper]
-        for unit in targets:
-            variants = corrupt(client, endpoint_corrupt, unit, paper)
-            kept, stats = verify_and_filter(
-                client, endpoint_verify, variants, unit, paper, seed=seed
-            )
-            bank[unit.id] = kept
-            all_stats.append(stats)
-    return bank, all_stats
+    """Corrupt and verify every successful unit across papers.
+
+    Each target's corrupt-then-verify chain is one JudgeClient.map item,
+    bounded by the smaller of the two endpoints' max_concurrency; bank
+    and stats keep the papers' and units' input order.
+    """
+    targets = [
+        (paper, unit)
+        for paper in papers
+        for unit in paper.successful_units()[:max_units_per_paper]
+    ]
+
+    def corrupt_and_verify(target):
+        paper, unit = target
+        variants = corrupt(client, endpoint_corrupt, unit, paper)
+        return verify_and_filter(
+            client, endpoint_verify, variants, unit, paper, seed=seed
+        )
+
+    results = client.map(
+        min(endpoint_corrupt.max_concurrency, endpoint_verify.max_concurrency),
+        corrupt_and_verify,
+        targets,
+    )
+    bank = {unit.id: kept for (_, unit), (kept, _) in zip(targets, results)}
+    return bank, [stats for _, stats in results]

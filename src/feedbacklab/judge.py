@@ -7,6 +7,7 @@ backend apply uniformly. No other module performs network I/O.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -18,7 +19,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Protocol, Sequence
+from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
 
 import jsonschema
 import numpy as np
@@ -27,6 +28,9 @@ from .core import canonical_json
 from .errors import ConfigError, JudgeError, JudgeFormatError, PipelineError
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 MAX_HTTP_ATTEMPTS = 5
@@ -91,6 +95,18 @@ class PromptTemplate:
             self.system_text.format(**bindings),
             self.user_text.format(**bindings),
         )
+
+    @functools.cached_property
+    def validator(self) -> jsonschema.protocols.Validator:
+        """Validator for response_schema, built and schema-checked once.
+
+        The same steps as jsonschema.validate, minus the per-call
+        metaschema check; a malformed schema raises SchemaError here.
+        """
+        schema = dict(self.response_schema)
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        return cls(schema)
 
 
 @dataclass(frozen=True)
@@ -296,7 +312,12 @@ class HttpBackend:
                 continue
             if resp.status_code != 200:
                 raise JudgeError(f"HTTP {resp.status_code} from {url}")
-            return resp.json()
+            try:
+                return resp.json()
+            except ValueError:
+                raise JudgeError(
+                    f"HTTP 200 from {url} with a non-JSON body"
+                ) from None
         raise JudgeError(
             f"gave up on {url} after {MAX_HTTP_ATTEMPTS} attempts ({last_error})"
         )
@@ -409,8 +430,16 @@ class JudgeClient:
         path = self.cache_dir / f"{key}.json"
         if not path.exists():
             return None
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return json.load(fh)
+        except ValueError:
+            # A torn entry (say, from a killed run) is a miss; the fresh
+            # result overwrites it.
+            logger.warning(
+                "judge cache: unreadable entry %s, treated as a miss", path.name
+            )
+            return None
 
     def _cache_write(self, key: str, record: dict) -> None:
         if not self.cache_dir:
@@ -428,10 +457,11 @@ class JudgeClient:
             parsed = _extract_json(raw)
         except json.JSONDecodeError as exc:
             raise ValueError(f"not valid JSON: {exc}") from None
-        try:
-            jsonschema.validate(parsed, dict(template.response_schema))
-        except jsonschema.ValidationError as exc:
-            raise ValueError(f"schema violation: {exc.message}") from None
+        error = jsonschema.exceptions.best_match(
+            template.validator.iter_errors(parsed)
+        )
+        if error is not None:
+            raise ValueError(f"schema violation: {error.message}")
         return parsed
 
     def complete(
@@ -495,27 +525,39 @@ class JudgeClient:
             model_name=endpoint.model_name,
         )
 
+    @staticmethod
+    def map(
+        max_concurrency: int, fn: Callable[[T], R], items: Sequence[T]
+    ) -> list[R]:
+        """fn over items with at most max_concurrency calls in flight.
+
+        The single fan-out path for judge work. Results come back in
+        input order; the failure of the earliest failing item propagates
+        and items not yet started are cancelled. Runs inline when
+        max_concurrency is 1 or there is at most one item; otherwise each
+        call gets its own thread pool, so nested calls cannot deadlock.
+        """
+        if max_concurrency == 1 or len(items) <= 1:
+            return [fn(item) for item in items]
+        pool = ThreadPoolExecutor(max_workers=min(max_concurrency, len(items)))
+        try:
+            futures = [pool.submit(fn, item) for item in items]
+            return [f.result() for f in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
+
     def map_complete(
         self,
         endpoint: EndpointConfig,
         template: PromptTemplate,
         bindings_list: Sequence[Mapping[str, Any]],
     ) -> list[JudgeResponse]:
-        """complete() over many bindings, bounded by max_concurrency.
-
-        Results are returned in input order regardless of completion
-        order; the first failure propagates.
-        """
-        if not bindings_list:
-            return []
-        if endpoint.max_concurrency == 1 or len(bindings_list) == 1:
-            return [self.complete(endpoint, template, b) for b in bindings_list]
-        with ThreadPoolExecutor(max_workers=endpoint.max_concurrency) as pool:
-            futures = [
-                pool.submit(self.complete, endpoint, template, b)
-                for b in bindings_list
-            ]
-            return [f.result() for f in futures]
+        """complete() over many bindings through map(), in input order."""
+        return self.map(
+            endpoint.max_concurrency,
+            lambda b: self.complete(endpoint, template, b),
+            bindings_list,
+        )
 
     # -- embeddings ----------------------------------------------------
 

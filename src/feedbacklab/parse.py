@@ -7,7 +7,6 @@ aspects, and dimensions in a single pass.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
@@ -125,55 +124,31 @@ def parse_thread(
     )
 
 
-def parse_record(
-    client: JudgeClient, endpoint: EndpointConfig, record: PaperRecord
-) -> tuple[PaperRecord, list[ParseResult]]:
-    """Parse every thread of one paper; returns the updated record."""
-    results = [
-        parse_thread(client, endpoint, record, thread)
-        for thread in record.threads
-    ]
-    units = [u for result in results for u in result.units]
-    return record.with_units(units), results
-
-
 def parse_papers(
     client: JudgeClient,
     endpoint: EndpointConfig,
     records: Sequence[PaperRecord],
 ) -> tuple[list[PaperRecord], list[ParseResult]]:
-    """Parse many papers, threads in parallel, output in input order."""
-    jobs = [
-        (i, record, thread)
-        for i, record in enumerate(records)
-        for thread in record.threads
-    ]
-    results: dict[tuple[int, str], ParseResult] = {}
-    if endpoint.max_concurrency > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=endpoint.max_concurrency) as pool:
-            futures = {
-                pool.submit(parse_thread, client, endpoint, record, thread): (
-                    i,
-                    thread.reviewer_id,
-                )
-                for i, record, thread in jobs
-            }
-            for future, key in futures.items():
-                results[key] = future.result()
-    else:
-        for i, record, thread in jobs:
-            results[(i, thread.reviewer_id)] = parse_thread(
-                client, endpoint, record, thread
-            )
+    """Parse every thread of many papers; returns the updated records.
+
+    Threads fan out through JudgeClient.map; records and results come
+    back in input order, results flattened paper by paper.
+    """
+    jobs = [(record, thread) for record in records for thread in record.threads]
+    results = client.map(
+        endpoint.max_concurrency,
+        lambda job: parse_thread(client, endpoint, *job),
+        jobs,
+    )
     updated: list[PaperRecord] = []
-    ordered: list[ParseResult] = []
-    for i, record in enumerate(records):
-        per_paper = [results[(i, t.reviewer_id)] for t in record.threads]
-        ordered.extend(per_paper)
+    start = 0
+    for record in records:
+        per_paper = results[start : start + len(record.threads)]
+        start += len(record.threads)
         updated.append(
             record.with_units(u for r in per_paper for u in r.units)
         )
-    return updated, ordered
+    return updated, results
 
 
 def _pooled_pair_table(

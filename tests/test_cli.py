@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,26 @@ def test_rerun_is_byte_identical(tmp_path):
     first = snapshot(run_dir)
     assert main(args) == 0
     assert only_run_dir(tmp_path) == run_dir
+    assert snapshot(run_dir) == first
+
+
+def test_torn_cache_entry_is_a_miss_and_is_rewritten(tmp_path):
+    args = [
+        "consensus-eval",
+        "--config",
+        FIXTURE_CONFIG,
+        "--set",
+        f"paths.runs_root={tmp_path}",
+    ]
+    assert main(args) == 0
+    run_dir = only_run_dir(tmp_path)
+    first = snapshot(run_dir)
+    entries = sorted((run_dir / "cache").glob("*.json"))
+    completion = next(p for p in entries if "raw_text" in p.read_text())
+    embedding = next(p for p in entries if '"vector"' in p.read_text())
+    for entry in (completion, embedding):
+        entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+    assert main(args) == 0
     assert snapshot(run_dir) == first
 
 
@@ -621,6 +642,82 @@ def test_success_eval_command(tmp_path):
     assert report["metadata"]["units_scored"] == 2
 
 
+def test_success_eval_same_bytes_at_any_concurrency(tmp_path):
+    papers = [synth_paper(f"p{i}", []) for i in range(3)]
+    write_corpus(tmp_path / "corpus", papers)
+    (tmp_path / "model.jsonl").write_text(
+        "".join(
+            canonical_json({"paper_id": p.paper_id, "text": f"point {j}"}) + "\n"
+            for p in papers
+            for j in range(5)
+        )
+    )
+    good = {
+        d: {"score": 5, "justification": "fine"}
+        for d in (
+            "accuracy",
+            "prioritisation",
+            "constructive_tone",
+            "paper_specific_grounding",
+            "actionability",
+        )
+    }
+    weak = {**good, "accuracy": {"score": 1, "justification": "wrong"}}
+    stub = {
+        "templates": {
+            "quality_score": {
+                "default": good,
+                "cases": [
+                    {"when": {"feedback_text": "point 3"}, "respond": weak}
+                ],
+            },
+            "response_predict": {
+                "default": {"validity": "agreed", "author_action": "will_revise"},
+                "cases": [
+                    {
+                        "when": {"feedback_text": "point 1"},
+                        "respond": {
+                            "validity": "rebutted",
+                            "author_action": "no_revision_contest",
+                        },
+                    }
+                ],
+            },
+        }
+    }
+    (tmp_path / "stub.json").write_text(json.dumps(stub))
+    cfg = write_config(
+        tmp_path / "config.json",
+        stub_fixture="stub.json",
+        sampling={"k": 2, "iterations": 50},
+        paths={
+            "corpus_root": "corpus",
+            "model_feedback": "model.jsonl",
+            "runs_root": "runs",
+        },
+    )
+    runs = {}
+    for max_concurrency in (1, 4):
+        overrides = [
+            f"endpoints.{task}.max_concurrency={max_concurrency}"
+            for task in ("quality_score", "response_predict")
+        ]
+        args = ["success-eval", "--config", cfg]
+        for spec in overrides:
+            args += ["--set", spec]
+        assert main(args) == 0
+        run_dir = only_run_dir(tmp_path / "runs")
+        runs[max_concurrency] = (run_dir.name, snapshot(run_dir))
+        shutil.move(run_dir, tmp_path / f"done-{max_concurrency}")
+    assert runs[1] == runs[4]
+    evaluations = (
+        (tmp_path / "done-4" / "artifacts" / "unit_evaluations.jsonl")
+        .read_text()
+        .splitlines()
+    )
+    assert len(evaluations) == 15
+
+
 def test_success_eval_judge_garbage_exits_4(tmp_path):
     papers = [synth_paper("p1", [])]
     write_corpus(tmp_path / "corpus", papers)
@@ -681,3 +778,24 @@ def test_set_overrides_and_hash_sensitivity(tmp_path):
     assert named.split == "test"  # bare string fallback
     with pytest.raises(Exception):
         load_config(cfg, ["sampling.seed"])  # missing '='
+
+
+def test_throughput_settings_do_not_change_the_run_id(tmp_path):
+    endpoint = {"model_name": "judge-a", "temperature": 0.0}
+    cfg_a = write_config(
+        tmp_path / "a.json",
+        endpoints={"quality_score": endpoint},
+    )
+    cfg_b = write_config(
+        tmp_path / "b.json",
+        endpoints={
+            "quality_score": {
+                **endpoint,
+                "requests_per_minute": 6000,
+                "max_concurrency": 32,
+            }
+        },
+    )
+    assert config_hash(load_config(cfg_a)) == config_hash(load_config(cfg_b))
+    other_model = load_config(cfg_a, ["endpoints.quality_score.model_name=b"])
+    assert config_hash(other_model) != config_hash(load_config(cfg_a))

@@ -1,10 +1,14 @@
 import json
 import math
+import sys
 import threading
 import time
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feedbacklab.core import canonical_json
 from feedbacklab.errors import ConfigError, JudgeError, JudgeFormatError
@@ -17,7 +21,14 @@ from feedbacklab.judge import (
     StubBackend,
     cosine,
 )
-from feedbacklab.prompts import PAIR_MATCH, REGISTRY, get_template, prompt_versions
+from feedbacklab.prompts import (
+    CORRUPTION_DIMENSIONS,
+    PAIR_MATCH,
+    QUALITY_DIMENSIONS,
+    REGISTRY,
+    get_template,
+    prompt_versions,
+)
 
 GOOD = canonical_json({"match": "1", "explanation": "same point"})
 ENDPOINT = EndpointConfig()
@@ -233,6 +244,202 @@ def test_cache_key_sensitivity(tmp_path):
         client.complete(ENDPOINT, bumped, bindings())
 
 
+# ---- compiled response validators ----
+
+VALID_RESPONSES = {
+    "thread_parse": {
+        "units": [
+            {
+                "feedback_text": "add an ablation",
+                "author_response_text": None,
+                "validity": "agreed",
+                "author_action": "will_revise",
+                "aspects": ["add_ablations"],
+                "dimensions": ["feed_forward"],
+            }
+        ],
+        "skipped_positive_count": 1,
+    },
+    "corruption": {d: f"{d} rewrite" for d in CORRUPTION_DIMENSIONS},
+    "corruption_verify": {
+        "results": [
+            {
+                "rewrite_index": 0,
+                "predicted_dimension": "vague",
+                "target_degradation": 2,
+                "collateral_preservation": 3,
+                "reasoning": "lost detail",
+            }
+        ]
+    },
+    "pair_match": {"match": "1", "explanation": "same point"},
+    "quality_score": {
+        d: {"score": 4, "justification": "fine"} for d in QUALITY_DIMENSIONS
+    },
+    "response_predict": {
+        "validity": "rebutted",
+        "author_action": "no_revision_contest",
+        "response_text": "we disagree",
+    },
+}
+
+WRONG_VALUES = (None, True, -1, 2.5, "not-an-enum-value", "", [], {})
+
+
+def node_paths(value, path=()):
+    """Every path to a node of a JSON value, the root first."""
+    yield path
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from node_paths(child, path + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from node_paths(child, path + (i,))
+
+
+DROP = object()
+
+
+def replaced(value, path, new):
+    """Copy of value with the node at path replaced, or dropped by DROP."""
+    if not path:
+        return new
+    out = json.loads(json.dumps(value))
+    node = out
+    for step in path[:-1]:
+        node = node[step]
+    if new is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = new
+    return out
+
+
+def mutations(value):
+    """Missing keys, wrong types, out-of-enum values, extra properties."""
+    for path in node_paths(value):
+        node = value
+        for step in path:
+            node = node[step]
+        if path and isinstance(path[-1], str):
+            yield replaced(value, path, DROP)
+        for wrong in WRONG_VALUES:
+            yield replaced(value, path, wrong)
+        if isinstance(node, dict):
+            yield replaced(value, path, {**node, "unexpected": 1})
+        if isinstance(node, list):
+            yield replaced(value, path, node + ["stray"])
+
+
+def reference_message(template, instance):
+    try:
+        jsonschema.validate(instance, dict(template.response_schema))
+    except jsonschema.ValidationError as exc:
+        return exc.message
+    return None
+
+
+def compiled_message(template, instance):
+    try:
+        JudgeClient(StubBackend())._validate(template, json.dumps(instance))
+    except ValueError as exc:
+        prefix = "schema violation: "
+        assert str(exc).startswith(prefix)
+        return str(exc)[len(prefix) :]
+    return None
+
+
+def test_valid_fixtures_cover_every_template():
+    assert set(VALID_RESPONSES) == set(REGISTRY)
+    for name, response in VALID_RESPONSES.items():
+        assert compiled_message(REGISTRY[name], response) is None
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_compiled_validator_matches_jsonschema_validate(name):
+    template = REGISTRY[name]
+    cases = list(mutations(VALID_RESPONSES[name]))
+    rejected = 0
+    for instance in cases:
+        expected = reference_message(template, instance)
+        assert compiled_message(template, instance) == expected, instance
+        rejected += expected is not None
+    assert rejected > len(cases) // 2  # the mutations do break the schema
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 7)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["agreed", "vague", "1", "0", ""])
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compiled_validator_matches_on_random_replacements(data):
+    name = data.draw(st.sampled_from(sorted(REGISTRY)))
+    valid = VALID_RESPONSES[name]
+    path = data.draw(st.sampled_from(list(node_paths(valid))))
+    instance = replaced(valid, path, data.draw(JSON_VALUES))
+    template = REGISTRY[name]
+    assert compiled_message(template, instance) == reference_message(
+        template, instance
+    )
+
+
+def test_shared_validator_under_thread_contention():
+    cases = [
+        (REGISTRY[name], instance)
+        for name in sorted(REGISTRY)
+        for instance in mutations(VALID_RESPONSES[name])
+    ]
+    serial = [compiled_message(t, i) for t, i in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = JudgeClient.map(
+            8, lambda case: compiled_message(*case), cases
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_malformed_schema_still_raises_schema_error():
+    broken = PromptTemplate(
+        name=PAIR_MATCH.name,
+        version=PAIR_MATCH.version,
+        system_text=PAIR_MATCH.system_text,
+        user_text=PAIR_MATCH.user_text,
+        response_schema={"type": "no-such-type"},
+    )
+    client = JudgeClient(ScriptedBackend([GOOD]))
+    with pytest.raises(jsonschema.SchemaError):
+        client.complete(ENDPOINT, broken, bindings())
+
+
+def test_validator_is_per_template_not_per_name():
+    loose = PromptTemplate(
+        name=PAIR_MATCH.name,
+        version=PAIR_MATCH.version,
+        system_text=PAIR_MATCH.system_text,
+        user_text=PAIR_MATCH.user_text,
+        response_schema={"type": "object"},
+    )
+    odd = canonical_json({"anything": 1})
+    client = JudgeClient(ScriptedBackend([GOOD, odd]))
+    client.complete(ENDPOINT, PAIR_MATCH, bindings())
+    assert client.complete(ENDPOINT, loose, bindings()).parsed == {"anything": 1}
+    assert PAIR_MATCH.validator is PAIR_MATCH.validator
+    assert loose.validator is not PAIR_MATCH.validator
+
+
 def test_map_complete_preserves_order_and_bounds_concurrency():
     n = 12
     raws = [
@@ -249,6 +456,56 @@ def test_map_complete_preserves_order_and_bounds_concurrency():
     assert [r.parsed["explanation"] for r in out] == [str(i) for i in range(n)]
     assert backend.max_in_flight <= 3
     assert client.map_complete(endpoint, PAIR_MATCH, []) == []
+
+
+def test_map_keeps_order_and_bounds_in_flight():
+    lock = threading.Lock()
+    in_flight = peak = 0
+    # the first three items can only pass the barrier together, so three
+    # calls must be in flight at once
+    first_three = threading.Barrier(3, timeout=10)
+
+    def fn(i):
+        nonlocal in_flight, peak
+        with lock:
+            in_flight += 1
+            peak = max(peak, in_flight)
+        if i < 3:
+            first_three.wait()
+        time.sleep(0.002)
+        with lock:
+            in_flight -= 1
+        return i * i
+
+    assert JudgeClient.map(3, fn, list(range(30))) == [i * i for i in range(30)]
+    assert peak == 3
+    assert JudgeClient.map(3, fn, []) == []
+
+
+def test_map_propagates_earliest_failure_and_cancels_the_rest():
+    calls = []
+
+    def fn(i):
+        calls.append(i)
+        time.sleep(0.01)
+        if i in (2, 5):
+            raise ValueError(f"item {i}")
+        return i
+
+    for max_concurrency in (1, 3):
+        calls.clear()
+        with pytest.raises(ValueError, match="item 2"):
+            JudgeClient.map(max_concurrency, fn, list(range(40)))
+        assert len(calls) < 40  # items not yet started were cancelled
+
+
+def test_map_nested_calls_complete():
+    def inner(i):
+        return JudgeClient.map(2, lambda j: (i, j), range(3))
+
+    assert JudgeClient.map(2, inner, range(4)) == [
+        [(i, j) for j in range(3)] for i in range(4)
+    ]
 
 
 def test_embed_caches_per_text(tmp_path):
@@ -446,3 +703,15 @@ def test_http_backend_embeddings():
         HttpBackend(session=short, sleeper=lambda s: None).embed(
             live_endpoint(), ["a", "b"]
         )
+
+
+def test_http_backend_non_json_200_is_judge_error():
+    class NotJson(FakeResponse):
+        def json(self):
+            raise ValueError("Expecting value: line 1 column 1 (char 0)")
+
+    session = FakeSession([NotJson(200, None)])
+    backend = HttpBackend(session=session, sleeper=lambda s: None)
+    with pytest.raises(JudgeError, match="judge.local/v1/chat/completions"):
+        backend.complete(live_endpoint(), PAIR_MATCH, bindings(), "s", "u")
+    assert len(session.requests) == 1

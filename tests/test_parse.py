@@ -19,7 +19,6 @@ from feedbacklab.judge import EndpointConfig, JudgeClient, StubBackend
 from feedbacklab.parse import (
     agreement_report,
     parse_papers,
-    parse_record,
     parse_thread,
     render_conversation,
 )
@@ -155,7 +154,7 @@ def test_parse_thread_schema_valid_but_unusable_unit():
     assert err.value.exit_code == 4
 
 
-def test_parse_record_merges_threads():
+def test_parse_papers_merges_threads():
     rec = record(reviewers=("r1", "r2"))
     convs = [render_conversation(t) for t in rec.threads]
     client = stub_for(
@@ -164,12 +163,12 @@ def test_parse_record_merges_threads():
             convs[1]: [judge_unit("add a baseline"), judge_unit("fix fig 2")],
         }
     )
-    updated, results = parse_record(client, ENDPOINT, rec)
+    (updated,), results = parse_papers(client, ENDPOINT, [rec])
     assert [r.reviewer_id for r in results] == ["r1", "r2"]
     assert [u.reviewer_id for u in updated.units] == ["r1", "r2", "r2"]
     assert updated.title == rec.title
     # re-parsing replaces, never appends
-    updated2, _ = parse_record(client, ENDPOINT, updated)
+    (updated2,), _ = parse_papers(client, ENDPOINT, [updated])
     assert len(updated2.units) == 3
 
 
