@@ -506,8 +506,9 @@ def cmd_consensus_eval(ctx: RunContext) -> EvalReport:
             excluded.append(paper.paper_id)
             ctx.log("skip_paper", paper_id=paper.paper_id, reason="no consensus")
             continue
+        row_of = {u.id: i for i, u in enumerate(human_units)}
         members = [units_by_id[m] for m in sorted(consensus.members)]
-        member_emb = client.embed(embedding_endpoint, [u.text for u in members])
+        member_emb = [human_emb[row_of[u.id]] for u in members]
         model_emb = client.embed(
             embedding_endpoint, [u.text for u in model_units]
         )

@@ -8,18 +8,17 @@ units, then score model feedback against that consensus.
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import FeedbackUnit
+from .core import FeedbackUnit, connected_components
 from .errors import ConfigError, PipelineError
 from .judge import EndpointConfig, JudgeClient, cosine
 from .prompts import PAIR_MATCH
-from .stats import percentile_ci
+from .stats import ci_summary, draw_without_replacement, keyed_rng
 
 DEFAULT_BOUNDARIES: tuple[float, ...] = (0.15, 0.25, 0.35, 0.45, 0.55, 0.65)
 DEFAULT_MATCH_RATE_CUTOFF = 0.1
@@ -313,25 +312,18 @@ def consensus_clusters(
     """
     members = sorted(consensus.members)
     index = {m: i for i, m in enumerate(members)}
-    parent = list(range(len(members)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for edge in edges:
-        if edge.pair_type != HUMAN_HUMAN or edge.judged is not True:
-            continue
-        if edge.left_unit_id in index and edge.right_unit_id in index:
-            parent[find(index[edge.left_unit_id])] = find(
-                index[edge.right_unit_id]
-            )
-    groups: dict[int, set[str]] = {}
-    for m, i in index.items():
-        groups.setdefault(find(i), set()).add(m)
-    return [frozenset(g) for g in sorted(groups.values(), key=sorted)]
+    links = [
+        (index[edge.left_unit_id], index[edge.right_unit_id])
+        for edge in edges
+        if edge.pair_type == HUMAN_HUMAN
+        and edge.judged is True
+        and edge.left_unit_id in index
+        and edge.right_unit_id in index
+    ]
+    return [
+        frozenset(members[i] for i in component)
+        for component in connected_components(len(members), links)
+    ]
 
 
 def _true_match_map(
@@ -549,21 +541,6 @@ def paper_match_data(
     )
 
 
-def _paper_entropy(paper_id: str) -> int:
-    digest = hashlib.sha256(paper_id.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-def _draw_indices(
-    rng: np.random.Generator, iterations: int, n: int, k: int
-) -> np.ndarray:
-    """(B, min(k, n)) without-replacement index draws, vectorized."""
-    if n <= k:
-        return np.tile(np.arange(n), (iterations, 1))
-    keys = rng.random((iterations, n))
-    return np.argpartition(keys, k - 1, axis=1)[:, :k]
-
-
 def bootstrap_match_eval(
     papers: Sequence[PaperMatchData],
     k: int = 5,
@@ -603,10 +580,7 @@ def bootstrap_match_eval(
                     )
                 incidence[m_idx, unit_index[uid]] = True
                 unit_matched[unit_index[uid]] = True
-        rng = np.random.default_rng(
-            np.random.SeedSequence([seed, _paper_entropy(paper.paper_id)])
-        )
-        idx = _draw_indices(rng, b, n, k)
+        idx = draw_without_replacement(keyed_rng(seed, paper.paper_id), b, n, k)
         matched_model[:, p_idx] = unit_matched[idx].sum(axis=1)
         drawn_total[:, p_idx] = idx.shape[1]
         if members:
@@ -651,13 +625,7 @@ def bootstrap_match_eval(
         ("recall", recall_draws),
         ("f1", f1_draws),
     ):
-        lower, upper = percentile_ci(draws)
-        out[name] = {
-            "mean": float(draws.mean()),
-            "ci_lower": lower,
-            "ci_upper": upper,
-            "ci_half_width": (upper - lower) / 2.0,
-        }
+        out[name] = ci_summary(draws)
     return out
 
 

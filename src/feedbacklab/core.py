@@ -124,6 +124,30 @@ def make_unit_id(paper_id: str, reviewer_id: str, text: str) -> str:
     return "fu-" + content_hash(paper_id, reviewer_id, normalized)[:16]
 
 
+def connected_components(
+    n: int, edges: Iterable[tuple[int, int]]
+) -> list[list[int]]:
+    """Components of nodes 0..n-1 under undirected edges (union-find).
+
+    Each component lists its nodes in ascending order, and components
+    are ordered by their smallest node.
+    """
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in edges:
+        parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
 def _enum_or_none(cls: type, value: Any) -> Any:
     if value is None:
         return None

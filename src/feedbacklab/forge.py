@@ -8,7 +8,6 @@ pairs under the success-delta and corruption-swap rules.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 from dataclasses import dataclass, replace
@@ -17,11 +16,12 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import FeedbackUnit, PaperRecord, canonical_json
+from .core import FeedbackUnit, PaperRecord, canonical_json, connected_components
 from .errors import JudgeFormatError, PipelineError
 from .ingest import DatasetStore
 from .judge import EndpointConfig, JudgeClient, cosine
 from .prompts import CORRUPTION, CORRUPTION_DIMENSIONS, CORRUPTION_VERIFY
+from .stats import keyed_rng
 
 logger = logging.getLogger(__name__)
 
@@ -185,11 +185,6 @@ class FilterStats:
         }
 
 
-def _unit_entropy(*parts: str) -> int:
-    digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def verify_and_filter(
     client: JudgeClient,
     endpoint: EndpointConfig,
@@ -206,10 +201,7 @@ def verify_and_filter(
     """
     if not variants:
         raise PipelineError("verify_and_filter: no variants")
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed, _unit_entropy(unit.id)])
-    )
-    order = rng.permutation(len(variants))
+    order = keyed_rng(seed, unit.id).permutation(len(variants))
     shuffled = [variants[i] for i in order]
     response = client.complete(
         endpoint,
@@ -306,34 +298,19 @@ def dedup_units(
     if len(units) != len(embeddings):
         raise PipelineError("dedup_units: embeddings must align with units")
     n = len(units)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if cosine(embeddings[i], embeddings[j]) > threshold:
-                parent[find(i)] = find(j)
-
-    clusters: dict[int, list[int]] = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-
+    links = (
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if cosine(embeddings[i], embeddings[j]) > threshold
+    )
     survivors: set[int] = set()
-    for members in clusters.values():
+    for members in connected_components(n, links):
         if len(members) == 1:
             survivors.add(members[0])
             continue
         ordered = sorted(members, key=lambda i: units[i].id)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                [seed, _unit_entropy(*(units[i].id for i in ordered))]
-            )
-        )
+        rng = keyed_rng(seed, *(units[i].id for i in ordered))
         survivors.add(ordered[int(rng.integers(len(ordered)))])
     return [units[i] for i in range(n) if i in survivors]
 
@@ -580,9 +557,7 @@ def build_dpo(
             )
             successful = [u for u in deduped if u.is_successful]
             unsuccessful = [u for u in deduped if not u.is_successful]
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed, _unit_entropy(paper.paper_id)])
-            )
+            rng = keyed_rng(seed, paper.paper_id)
             prompt = _generation_prompt(paper)
             emitted = 0
             for _ in range(pairs_per_paper):

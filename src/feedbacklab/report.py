@@ -11,21 +11,15 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .errors import PipelineError
 
 METRIC_DECIMALS = 3
-PERCENT_DECIMALS = 1
 
 
 def format_metric(value: float) -> str:
     return f"{value:.{METRIC_DECIMALS}f}"
-
-
-def format_percent(value: float) -> str:
-    """value is a fraction; rendered as a percentage with 1 decimal."""
-    return f"{value * 100:.{PERCENT_DECIMALS}f}%"
 
 
 def _format_cell(value: Any) -> str:
@@ -170,17 +164,3 @@ def render_report(report: EvalReport, fmt: str) -> str:
             f"unknown report format {fmt!r}; expected one of {REPORT_FORMATS}"
         ) from None
     return renderer(report)
-
-
-def metric_table(
-    metrics: Mapping[str, Mapping[str, float]],
-    columns: Sequence[str] = ("metric", "mean", "ci_lower", "ci_upper", "ci_half_width"),
-) -> ReportTable:
-    """Rows of {name: {mean, ci_lower, ...}} as a standard metrics table."""
-    rows = []
-    for name in metrics:
-        entry = metrics[name]
-        rows.append(
-            (name, *(entry[c] for c in columns[1:]))
-        )
-    return ReportTable(columns=tuple(columns), rows=tuple(rows))

@@ -1,8 +1,9 @@
 """Agreement coefficients, exact tests, and bootstrap machinery.
 
-Test statistics and exact enumerations are implemented here directly so
-their conventions are pinned down (two-sided definitions vary between
-libraries); scipy is used only for chi-square tail probabilities.
+Test statistics, exact enumerations and chi-square tail probabilities
+are implemented here directly, so their conventions are pinned down
+(two-sided definitions vary between libraries) and numpy is the only
+numerical dependency.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from itertools import combinations
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.stats import chi2 as _chi2_dist
 
+from .core import content_hash
 from .errors import StatsError
 
 logger = logging.getLogger(__name__)
@@ -189,9 +190,31 @@ def krippendorff_alpha(
     return float(1 - (n - 1) * disagree_observed / disagree_expected)
 
 
-def _chi2_sf_1df(stat: float) -> float:
-    # Closed form for 1 df; keeps the 2x2 path free of scipy.
-    return math.erfc(math.sqrt(stat / 2.0))
+def _chi2_sf(stat: float, df: int) -> float:
+    """Upper tail P(X >= stat) of a chi-square with integer df >= 1.
+
+    Abramowitz & Stegun 26.4.8: Q(nu + 2) = Q(nu) + t(nu), where
+    t(nu) = (x/2)^(nu/2) e^(-x/2) / Gamma(nu/2 + 1), starting from
+    Q(1) = erfc(sqrt(x/2)) or Q(0) = 0. The t's are summed before the
+    e^(-x/2) factor is applied, in log space, so a large statistic does
+    not underflow that factor while the tail is still representable.
+    """
+    x = float(stat)
+    if x <= 0.0:
+        return 1.0
+    half = x / 2.0
+    if df % 2:
+        q, nu, term = math.erfc(math.sqrt(half)), 1, math.sqrt(2.0 * x / math.pi)
+    else:
+        q, nu, term = 0.0, 0, 1.0
+    series = 0.0
+    while nu < df:
+        series += term
+        nu += 2
+        term *= x / nu
+    if series:
+        q += math.exp(math.log(series) - half)
+    return q
 
 
 def chi_square_test(table: Any) -> tuple[float, float]:
@@ -207,7 +230,7 @@ def chi_square_test(table: Any) -> tuple[float, float]:
         for j in range(2):
             expected = rows[i] * cols[j] / n
             stat += (t.counts[i][j] - expected) ** 2 / expected
-    return stat, _chi2_sf_1df(stat)
+    return stat, _chi2_sf(stat, 1)
 
 
 def fisher_exact(table: Any) -> float:
@@ -382,8 +405,10 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> dict[str, Any]:
             "note": "all observations identical",
         }
     h_corrected = h / correction
-    p = float(_chi2_dist.sf(h_corrected, len(groups) - 1))
-    return {"statistic": h_corrected, "p": p}
+    return {
+        "statistic": h_corrected,
+        "p": _chi2_sf(h_corrected, len(groups) - 1),
+    }
 
 
 def ordinal_tests(
@@ -410,6 +435,31 @@ def ordinal_tests(
     if correction:
         out["correction"] = correction
     return out
+
+
+def keyed_rng(seed: int, *key: str) -> np.random.Generator:
+    """Generator derived from (seed, key) alone.
+
+    The key's sha256 (over unit-separated parts) supplies the second
+    entropy word, so a paper's or unit's draws do not depend on which
+    other papers or units are processed, or in what order.
+    """
+    entropy = int(content_hash(*key)[:16], 16)
+    return np.random.default_rng(np.random.SeedSequence([seed, entropy]))
+
+
+def draw_without_replacement(
+    rng: np.random.Generator, iterations: int, n: int, k: int
+) -> np.ndarray:
+    """(iterations, min(k, n)) index draws without replacement, vectorized.
+
+    With n <= k every draw is the whole population and the generator is
+    not advanced.
+    """
+    if n <= k:
+        return np.tile(np.arange(n), (iterations, 1))
+    keys = rng.random((iterations, n))
+    return np.argpartition(keys, k - 1, axis=1)[:, :k]
 
 
 def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
@@ -451,3 +501,14 @@ def percentile_ci(draws: Iterable[float]) -> tuple[float, float]:
         raise StatsError("percentile_ci: need at least 2 draws")
     lower, upper = np.percentile(arr, [2.5, 97.5])
     return float(lower), float(upper)
+
+
+def ci_summary(draws: np.ndarray) -> dict[str, float]:
+    """Mean of bootstrap draws with 95% percentile bounds and half-width."""
+    lower, upper = percentile_ci(draws)
+    return {
+        "mean": float(draws.mean()),
+        "ci_lower": lower,
+        "ci_upper": upper,
+        "ci_half_width": (upper - lower) / 2.0,
+    }

@@ -8,7 +8,6 @@ stay in the denominator.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Mapping, Sequence
@@ -19,7 +18,7 @@ from .core import AuthorAction, FeedbackUnit, PaperRecord, Validity, is_actionab
 from .errors import ConfigError, PipelineError
 from .judge import EndpointConfig, JudgeClient
 from .prompts import QUALITY_DIMENSIONS, QUALITY_SCORE, RESPONSE_PREDICT
-from .stats import percentile_ci
+from .stats import ci_summary, draw_without_replacement, keyed_rng
 
 FILTER_DIMENSIONS = (
     "accuracy",
@@ -232,11 +231,6 @@ def success_rate(
     return hits / len(evaluations)
 
 
-def _paper_entropy(paper_id: str) -> int:
-    digest = hashlib.sha256(paper_id.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def bootstrap_eval(
     per_paper: Mapping[str, Sequence[UnitEvaluation]],
     k: int = 5,
@@ -273,18 +267,10 @@ def bootstrap_eval(
             )
             for mode in modes
         }
-        if n <= k:
-            for mode in modes:
-                numer[mode] += passes[mode].sum()
-            denom += n
-            continue
-        rng = np.random.default_rng(
-            np.random.SeedSequence([seed, _paper_entropy(paper_id)])
-        )
-        idx = np.argpartition(rng.random((b, n)), k - 1, axis=1)[:, :k]
+        idx = draw_without_replacement(keyed_rng(seed, paper_id), b, n, k)
         for mode in modes:
             numer[mode] += passes[mode][idx].sum(axis=1)
-        denom += k
+        denom += idx.shape[1]
 
     out: dict[str, Any] = {
         "k": k,
@@ -294,14 +280,7 @@ def bootstrap_eval(
         "papers": len(per_paper),
     }
     for mode in modes:
-        draws = numer[mode] / denom
-        lower, upper = percentile_ci(draws)
-        out[mode.value] = {
-            "mean": float(draws.mean()),
-            "ci_lower": lower,
-            "ci_upper": upper,
-            "ci_half_width": (upper - lower) / 2.0,
-        }
+        out[mode.value] = ci_summary(numer[mode] / denom)
     return out
 
 

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -799,3 +802,20 @@ def test_throughput_settings_do_not_change_the_run_id(tmp_path):
     assert config_hash(load_config(cfg_a)) == config_hash(load_config(cfg_b))
     other_model = load_config(cfg_a, ["endpoints.quality_score.model_name=b"])
     assert config_hash(other_model) != config_hash(load_config(cfg_a))
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only reference; the package must not pull it in.
+    paths = [str(Path(feedbacklab.__file__).parent.parent)]
+    paths += filter(None, [os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    probe = "import sys, feedbacklab.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"

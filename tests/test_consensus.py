@@ -531,6 +531,61 @@ def test_bootstrap_deterministic_and_order_invariant():
     assert different_seed != a
 
 
+def test_bootstrap_golden_values():
+    # Pins the per-paper streams: values recorded from the original
+    # sha256-seeded implementation.
+    other = PaperMatchData(
+        paper_id="p2",
+        consensus_size=2,
+        model_unit_ids=tuple(f"m{i}" for i in range(8)),
+        member_matches={"c1": ("m0", "m3"), "c2": ("m5",)},
+    )
+    papers = [golden_paper_data(), other]
+    micro = bootstrap_match_eval(papers, k=3, iterations=50, seed=9)
+    macro = bootstrap_match_eval(papers, k=3, iterations=50, seed=9, macro=True)
+    precision = {
+        "mean": 0.28,
+        "ci_lower": 0.16666666666666666,
+        "ci_upper": 0.5,
+        "ci_half_width": 0.16666666666666669,
+    }
+    header = {"k": 3, "iterations": 50, "seed": 9, "papers": 2}
+    assert micro == {
+        **header,
+        "aggregation": "micro",
+        "precision": precision,
+        "recall": {
+            "mean": 0.46,
+            "ci_lower": 0.2,
+            "ci_upper": 0.8,
+            "ci_half_width": 0.30000000000000004,
+        },
+        "f1": {
+            "mean": 0.3421031909267203,
+            "ci_lower": 0.1818181818181818,
+            "ci_upper": 0.6153846153846154,
+            "ci_half_width": 0.21678321678321683,
+        },
+    }
+    assert macro == {
+        **header,
+        "aggregation": "macro",
+        "precision": precision,
+        "recall": {
+            "mean": 0.45833333333333326,
+            "ci_lower": 0.25,
+            "ci_upper": 0.8333333333333333,
+            "ci_half_width": 0.29166666666666663,
+        },
+        "f1": {
+            "mean": 0.34241269841269834,
+            "ci_lower": 0.2,
+            "ci_upper": 0.6222222222222222,
+            "ci_half_width": 0.2111111111111111,
+        },
+    }
+
+
 def test_bootstrap_micro_vs_macro():
     big = PaperMatchData(
         paper_id="big",

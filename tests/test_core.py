@@ -17,6 +17,7 @@ from feedbacklab.core import (
     Turn,
     Validity,
     canonical_json,
+    connected_components,
     content_hash,
     count_successful,
     is_actionable,
@@ -107,6 +108,39 @@ def test_canonical_json_round_trip(d):
 def test_content_hash_separator_prevents_collisions():
     assert content_hash("ab", "c") != content_hash("a", "bc")
     assert content_hash("x") == content_hash("x")
+
+
+@given(
+    st.integers(min_value=0, max_value=12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                max_size=3 * n,
+            )
+            if n
+            else st.just([]),
+        )
+    )
+)
+def test_connected_components_matches_bfs(graph):
+    n, edges = graph
+    adjacent = {i: set() for i in range(n)}
+    for i, j in edges:
+        adjacent[i].add(j)
+        adjacent[j].add(i)
+    expected, seen = [], set()
+    for start in range(n):
+        if start in seen:
+            continue
+        component, frontier = {start}, [start]
+        while frontier:
+            nxt = [j for i in frontier for j in adjacent[i] if j not in component]
+            component.update(nxt)
+            frontier = nxt
+        seen |= component
+        expected.append(sorted(component))
+    assert connected_components(n, edges) == expected
 
 
 def test_make_unit_id_collapses_whitespace():

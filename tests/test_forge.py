@@ -305,6 +305,24 @@ def test_dedup_threshold_is_strict():
     assert len(dedup_units(units, e_over, threshold=0.5)) == 1
 
 
+def test_dedup_golden_survivors():
+    # Three clusters {0,3,6}, {1,4,7}, {2,5,8}; survivors per seed were
+    # recorded from the original sha256-seeded implementation.
+    units = [hunit("p1", "r1", f"golden {i}") for i in range(9)]
+    vecs = [np.eye(3)[i % 3] + 0.02 * i for i in range(9)]
+    expected = {
+        0: [0, 2, 7],
+        1: [0, 1, 5],
+        2: [0, 2, 7],
+        3: [2, 3, 4],
+        4: [0, 2, 4],
+        5: [3, 4, 5],
+    }
+    for seed, kept in expected.items():
+        survivors = dedup_units(units, vecs, seed=seed)
+        assert [u.text for u in survivors] == [f"golden {i}" for i in kept]
+
+
 def test_dedup_matches_connected_components_oracle():
     rng = np.random.default_rng(42)
     for trial in range(50):

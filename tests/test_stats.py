@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -12,10 +13,13 @@ from feedbacklab.errors import StatsError
 from feedbacklab.stats import (
     CIReport,
     ContingencyTable,
+    _chi2_sf,
     binary_tests,
     chi_square_test,
     cohen_kappa,
+    draw_without_replacement,
     fisher_exact,
+    keyed_rng,
     kruskal_wallis,
     krippendorff_alpha,
     mann_whitney_u,
@@ -340,6 +344,27 @@ def test_kruskal_wallis_against_scipy():
         assert out["p"] == pytest.approx(ref.pvalue, rel=1e-10)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    df=st.integers(min_value=1, max_value=30),
+    x=st.floats(min_value=0.0, max_value=2000.0),
+)
+def test_chi2_sf_matches_scipy(df, x):
+    ref = float(scipy.stats.chi2.sf(x, df))
+    got = _chi2_sf(x, df)
+    if ref > 1e-300:
+        assert abs(got - ref) <= 1e-12 * ref
+    else:
+        assert 0.0 <= got <= 1e-290
+
+
+def test_chi2_sf_edges():
+    assert _chi2_sf(0.0, 1) == 1.0 and _chi2_sf(0.0, 7) == 1.0
+    # df = 1 is the bare erfc term that chi_square_test has always used
+    for stat in (0.3, 3.841458820694124, 40.0):
+        assert _chi2_sf(stat, 1) == math.erfc(math.sqrt(stat / 2.0))
+
+
 def test_kruskal_wallis_degenerate():
     out = kruskal_wallis([[3, 3], [3, 3, 3]])
     assert out == {"statistic": 0.0, "p": 1.0, "note": "all observations identical"}
@@ -378,6 +403,38 @@ def test_percentile_bootstrap_deterministic():
     assert a != c
     assert a.lower <= a.point_estimate <= a.upper
     assert a.half_width == pytest.approx((a.upper - a.lower) / 2)
+
+
+def _sha256_rng(seed, *key):
+    # The per-paper / per-unit derivation keyed_rng replaced.
+    digest = hashlib.sha256("\x1f".join(key).encode("utf-8")).digest()
+    entropy = int.from_bytes(digest[:8], "big")
+    return np.random.default_rng(np.random.SeedSequence([seed, entropy]))
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**63),
+    key=st.lists(st.text(), min_size=1, max_size=4),
+)
+def test_keyed_rng_matches_sha256_derivation(seed, key):
+    got = keyed_rng(seed, *key)
+    ref = _sha256_rng(seed, *key)
+    assert got.bit_generator.state == ref.bit_generator.state
+    assert got.random(4).tolist() == ref.random(4).tolist()
+
+
+def test_draw_without_replacement():
+    rng = keyed_rng(0, "p")
+    state = rng.bit_generator.state
+    for n, k in ((3, 5), (5, 5), (1, 1)):
+        idx = draw_without_replacement(rng, 4, n, k)
+        assert idx.tolist() == [list(range(n))] * 4
+    assert rng.bit_generator.state == state  # no draw consumed
+    idx = draw_without_replacement(rng, 200, 9, 4)
+    assert idx.shape == (200, 4)
+    assert all(len(set(row)) == 4 and max(row) < 9 for row in idx.tolist())
+    ref = np.argpartition(keyed_rng(0, "p").random((200, 9)), 3, axis=1)[:, :4]
+    assert np.array_equal(idx, ref)
 
 
 def test_percentile_ci_matches_numpy():

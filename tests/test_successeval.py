@@ -302,6 +302,38 @@ def test_bootstrap_deterministic_and_order_invariant():
     assert bootstrap_eval(per_paper, k=3, iterations=300, seed=4) != a
 
 
+def test_bootstrap_golden_values():
+    # Pins the per-paper streams: values recorded from the original
+    # sha256-seeded implementation. p4 has n <= k, the rest are drawn.
+    per_paper = small_corpus(np.random.default_rng(5), n_papers=6, max_units=9)
+    out = bootstrap_eval(per_paper, k=3, iterations=50, seed=2)
+    assert out == {
+        "k": 3,
+        "iterations": 50,
+        "seed": 2,
+        "quality_filter": True,
+        "papers": 6,
+        "combined": {
+            "mean": 0.04,
+            "ci_lower": 0.0,
+            "ci_upper": 0.058823529411764705,
+            "ci_half_width": 0.029411764705882353,
+        },
+        "validity_only": {
+            "mean": 0.20705882352941174,
+            "ci_lower": 0.058823529411764705,
+            "ci_upper": 0.35294117647058826,
+            "ci_half_width": 0.14705882352941177,
+        },
+        "action_only": {
+            "mean": 0.25058823529411767,
+            "ci_lower": 0.11764705882352941,
+            "ci_upper": 0.35294117647058826,
+            "ci_half_width": 0.11764705882352942,
+        },
+    }
+
+
 def test_bootstrap_mean_matches_exhaustive_expectation():
     """Subset expectations are exact, so B only adds sampling noise;
     with every paper at n<=6 and B large the mean lands within noise,
