@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import traceback
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -27,6 +28,7 @@ from .ingest import (
     load_annotations,
     load_corpus,
     majority_vote,
+    read_jsonl,
     save_corpus,
 )
 from .judge import HttpBackend, JudgeClient, StubBackend
@@ -113,16 +115,15 @@ class RunContext:
         )
         return path
 
-    def finish(self, report: EvalReport, write_log: bool = True) -> None:
+    def finish(self, report: EvalReport) -> None:
         (self.artifacts / "eval_report.json").write_text(
             canonical_json(report.to_dict()) + "\n", encoding="utf-8"
         )
         self.render(report)
-        if write_log:
-            (self.run_dir / "log.jsonl").write_text(
-                "".join(canonical_json(e) + "\n" for e in self.events),
-                encoding="utf-8",
-            )
+        (self.run_dir / "log.jsonl").write_text(
+            "".join(canonical_json(e) + "\n" for e in self.events),
+            encoding="utf-8",
+        )
 
     def render(self, report: EvalReport) -> None:
         (self.run_dir / "report.json").write_text(
@@ -147,39 +148,32 @@ def load_model_units(
     """
     if not path.exists():
         raise IngestError(f"model feedback file not found: {path}")
+
+    def parse_unit(data: Mapping[str, Any]) -> FeedbackUnit:
+        paper_id, text = data["paper_id"], data["text"]
+        model_name = data.get("model_name", "model")
+        return FeedbackUnit(
+            id=make_unit_id(paper_id, model_name, text),
+            paper_id=paper_id,
+            reviewer_id=model_name,
+            source=Source.MODEL,
+            text=text,
+        )
+
     out: dict[str, list[FeedbackUnit]] = {}
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-                paper_id = data["paper_id"]
-                text = data["text"]
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise IngestError(
-                    f"{path}:{lineno}: malformed model feedback: {exc}"
-                ) from None
-            if paper_id not in papers:
-                raise IngestError(
-                    f"{path}:{lineno}: unknown paper_id {paper_id!r}"
-                )
-            model_name = data.get("model_name", "model")
-            unit = FeedbackUnit(
-                id=make_unit_id(paper_id, model_name, text),
-                paper_id=paper_id,
-                reviewer_id=model_name,
-                source=Source.MODEL,
-                text=text,
+    for lineno, unit in read_jsonl(path, parse_unit, "model feedback"):
+        if unit.paper_id not in papers:
+            raise IngestError(
+                f"{path}:{lineno}: unknown paper_id {unit.paper_id!r}"
             )
-            if unit.id in seen:
-                raise IngestError(
-                    f"{path}:{lineno}: duplicate model feedback text for "
-                    f"{paper_id}"
-                )
-            seen.add(unit.id)
-            out.setdefault(paper_id, []).append(unit)
+        if unit.id in seen:
+            raise IngestError(
+                f"{path}:{lineno}: duplicate model feedback text for "
+                f"{unit.paper_id}"
+            )
+        seen.add(unit.id)
+        out.setdefault(unit.paper_id, []).append(unit)
     return out
 
 
@@ -227,12 +221,7 @@ def cmd_parse(ctx: RunContext) -> EvalReport:
     updated = dict(store.records)
     for record in parsed:
         updated[record.paper_id] = record
-    new_store = DatasetStore(
-        root_path=store.root_path,
-        format_version=store.format_version,
-        manifest=store.manifest,
-        records=updated,
-    )
+    new_store = replace(store, records=updated)
     save_corpus(new_store, ctx.artifacts / "parsed_store")
     ctx.write_jsonl(
         "parse_audit.jsonl", [r.to_audit_dict() for r in results]
@@ -387,17 +376,9 @@ def cmd_forge_dpo(ctx: RunContext) -> EvalReport:
 def cmd_calibrate(ctx: RunContext) -> EvalReport:
     config = ctx.config
     pairs_path = config.path("annotated_pairs")
-    edges: list[cons.MatchEdge] = []
-    with open(pairs_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                edges.append(cons.MatchEdge.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise IngestError(
-                    f"{pairs_path}:{lineno}: malformed pair: {exc}"
-                ) from None
+    edges = [
+        edge for _, edge in read_jsonl(pairs_path, cons.MatchEdge.from_dict, "pair")
+    ]
     annotations = load_annotations(config.path("annotations"))
     by_pair = group_by_unit(
         a for a in annotations if a.match_label is not None
@@ -410,15 +391,7 @@ def cmd_calibrate(ctx: RunContext) -> EvalReport:
             raise PipelineError(
                 f"calibrate: pair {pair_id} has no match annotations"
             )
-        judged.append(
-            cons.MatchEdge(
-                left_unit_id=edge.left_unit_id,
-                right_unit_id=edge.right_unit_id,
-                pair_type=edge.pair_type,
-                cosine=edge.cosine,
-                judged=bool(majority_vote(labels)),
-            )
-        )
+        judged.append(replace(edge, judged=bool(majority_vote(labels))))
     threshold_rows = []
     rate_rows = []
     for pair_type in (cons.HUMAN_HUMAN, cons.HUMAN_MODEL):

@@ -39,7 +39,6 @@ class Thresholds:
     human_model: float = 0.45
     delta: int = 2
     match_rate_cutoff: float = 0.1
-    weight_sum_tolerance: float = 0.005
     quality: QualityThresholds = field(default_factory=QualityThresholds)
 
     def validate(self, errors: list[str]) -> None:
@@ -54,8 +53,6 @@ class Thresholds:
                 f"thresholds.match_rate_cutoff={self.match_rate_cutoff} "
                 "outside (0,1]"
             )
-        if self.weight_sum_tolerance < 0:
-            errors.append("thresholds.weight_sum_tolerance must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -90,7 +87,6 @@ class PathsConfig:
     model_feedback: str = ""
     annotations: str = ""
     annotated_pairs: str = ""
-    baseline_report: str = ""
 
     def resolved(self, base: Path) -> dict[str, str]:
         out = {}
@@ -175,7 +171,6 @@ class PipelineConfig:
                 "human_model": self.thresholds.human_model,
                 "delta": self.thresholds.delta,
                 "match_rate_cutoff": self.thresholds.match_rate_cutoff,
-                "weight_sum_tolerance": self.thresholds.weight_sum_tolerance,
                 "quality": self.thresholds.quality.as_dict(),
             },
             "sampling": {

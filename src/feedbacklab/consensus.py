@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import FeedbackUnit, connected_components
 from .errors import ConfigError, PipelineError
-from .judge import EndpointConfig, JudgeClient, cosine
+from .judge import EndpointConfig, JudgeClient, similar_pairs
 from .prompts import PAIR_MATCH
 from .stats import ci_summary, draw_without_replacement, keyed_rng
 
@@ -218,29 +218,27 @@ def prefilter_pairs(
         raise PipelineError("prefilter_pairs: embeddings must align with units")
     edges: list[MatchEdge] = []
     seen: set[tuple[str, str]] = set()
-    for i, ua in enumerate(units_a):
-        for j, ub in enumerate(units_b):
-            if ua.id == ub.id:
+    for i, j, sim in similar_pairs(embeddings_a, embeddings_b, threshold):
+        ua, ub = units_a[i], units_b[j]
+        if ua.id == ub.id:
+            continue
+        if pair_type == HUMAN_HUMAN:
+            if ua.reviewer_id == ub.reviewer_id:
                 continue
-            if pair_type == HUMAN_HUMAN:
-                if ua.reviewer_id == ub.reviewer_id:
-                    continue
-                left, right = sorted((ua.id, ub.id))
-                if (left, right) in seen:
-                    continue
-                seen.add((left, right))
-            else:
-                left, right = ua.id, ub.id
-            sim = cosine(embeddings_a[i], embeddings_b[j])
-            if sim >= threshold:
-                edges.append(
-                    MatchEdge(
-                        left_unit_id=left,
-                        right_unit_id=right,
-                        pair_type=pair_type,
-                        cosine=sim,
-                    )
-                )
+            left, right = sorted((ua.id, ub.id))
+            if (left, right) in seen:
+                continue
+            seen.add((left, right))
+        else:
+            left, right = ua.id, ub.id
+        edges.append(
+            MatchEdge(
+                left_unit_id=left,
+                right_unit_id=right,
+                pair_type=pair_type,
+                cosine=sim,
+            )
+        )
     return edges
 
 

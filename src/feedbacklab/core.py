@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Iterable, Mapping
 
@@ -330,16 +330,7 @@ class PaperRecord:
 
     def with_units(self, units: Iterable[FeedbackUnit]) -> "PaperRecord":
         """Copy of this record with its unit list replaced."""
-        return PaperRecord(
-            paper_id=self.paper_id,
-            title=self.title,
-            abstract=self.abstract,
-            venue_year=self.venue_year,
-            decision=self.decision,
-            threads=self.threads,
-            units=tuple(units),
-            body_markdown=self.body_markdown,
-        )
+        return replace(self, units=tuple(units))
 
     def units_by_reviewer(self) -> dict[str, list[FeedbackUnit]]:
         by: dict[str, list[FeedbackUnit]] = {}

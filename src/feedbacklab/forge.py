@@ -19,7 +19,7 @@ import numpy as np
 from .core import FeedbackUnit, PaperRecord, canonical_json, connected_components
 from .errors import JudgeFormatError, PipelineError
 from .ingest import DatasetStore
-from .judge import EndpointConfig, JudgeClient, cosine
+from .judge import EndpointConfig, JudgeClient, similar_pairs
 from .prompts import CORRUPTION, CORRUPTION_DIMENSIONS, CORRUPTION_VERIFY
 from .stats import keyed_rng
 
@@ -300,9 +300,8 @@ def dedup_units(
     n = len(units)
     links = (
         (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if cosine(embeddings[i], embeddings[j]) > threshold
+        for i, j, sim in similar_pairs(embeddings, embeddings, threshold)
+        if i < j and sim > threshold
     )
     survivors: set[int] = set()
     for members in connected_components(n, links):

@@ -15,7 +15,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .core import AuthorAction, Decision, PaperRecord, Validity, canonical_json
 from .errors import IngestError, PipelineError
 
 FORMAT_VERSION = 1
+
+T = TypeVar("T")
 
 # (first year, last year, pool size) drawn decision-balanced per pool.
 DEFAULT_TEST_POOLS: tuple[tuple[int, int, int], ...] = (
@@ -88,6 +90,27 @@ def _read_manifest(root: Path) -> dict[str, Any]:
     return data
 
 
+def read_jsonl(
+    path: str | Path, parse: Callable[[Any], T], what: str
+) -> Iterator[tuple[int, T]]:
+    """(line number, parse(object)) for each nonblank line of a JSONL file.
+
+    A line that is not JSON, or whose value parse cannot read (a missing
+    key, a wrong type, a bad value), raises IngestError naming path:line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                item = parse(json.loads(line))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise IngestError(
+                    f"{path}:{lineno}: malformed {what}: {exc}"
+                ) from None
+            yield lineno, item
+
+
 def load_corpus(root: str | Path) -> DatasetStore:
     """Load and validate a dataset store from its root directory."""
     root = Path(root)
@@ -112,22 +135,12 @@ def load_corpus(root: str | Path) -> DatasetStore:
         if not path.exists():
             raise IngestError(f"missing record file: {path}")
         found: dict[str, PaperRecord] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = PaperRecord.from_dict(json.loads(line))
-                except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                    raise IngestError(
-                        f"{path}:{lineno}: malformed record: {exc}"
-                    ) from None
-                if record.paper_id in found or record.paper_id in records:
-                    raise IngestError(
-                        f"{path}:{lineno}: duplicate paper_id "
-                        f"{record.paper_id!r}"
-                    )
-                found[record.paper_id] = record
+        for lineno, record in read_jsonl(path, PaperRecord.from_dict, "record"):
+            if record.paper_id in found or record.paper_id in records:
+                raise IngestError(
+                    f"{path}:{lineno}: duplicate paper_id {record.paper_id!r}"
+                )
+            found[record.paper_id] = record
         missing = set(ids) - set(found)
         if missing:
             raise IngestError(
@@ -308,22 +321,12 @@ def load_annotations(
     path = Path(path)
     known = set(annotators) if annotators is not None else None
     out: list[AnnotationRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = AnnotationRecord.from_dict(json.loads(line))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise IngestError(
-                    f"{path}:{lineno}: malformed annotation: {exc}"
-                ) from None
-            if known is not None and record.annotator_id not in known:
-                raise IngestError(
-                    f"{path}:{lineno}: unknown annotator "
-                    f"{record.annotator_id!r}"
-                )
-            out.append(record)
+    for lineno, record in read_jsonl(path, AnnotationRecord.from_dict, "annotation"):
+        if known is not None and record.annotator_id not in known:
+            raise IngestError(
+                f"{path}:{lineno}: unknown annotator {record.annotator_id!r}"
+            )
+        out.append(record)
     return out
 
 

@@ -183,6 +183,45 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
+# A product of normalized rows can miss cosine()'s value by a few ulps,
+# so the screen in similar_pairs lets pairs this far below the threshold
+# through and cosine() decides.
+SCREEN_MARGIN = 1e-9
+
+
+def similar_pairs(
+    a: Sequence[np.ndarray], b: Sequence[np.ndarray], threshold: float
+) -> list[tuple[int, int, float]]:
+    """Every (i, j, cosine(a[i], b[j])) with that cosine >= threshold.
+
+    One matrix product over the L2-normalized rows screens all pairs at
+    threshold - SCREEN_MARGIN; each pair that passes is rescored with
+    cosine(), so the returned value and the >= boundary are exactly
+    cosine()'s. Pairs come in row-major order. A zero vector or a shape
+    mismatch anywhere in a or b raises cosine()'s PipelineError.
+    """
+    if not len(a) or not len(b):
+        return []
+    rows = [np.asarray(v, dtype=float) for v in (*a, *b)]
+    for row in rows[1:]:
+        if row.shape != rows[0].shape:
+            raise PipelineError(
+                f"cosine: shape mismatch {rows[0].shape} vs {row.shape}"
+            )
+    unit = np.stack(rows)
+    norms = np.linalg.norm(unit, axis=1, keepdims=True)
+    if not norms.all():
+        raise PipelineError("cosine: zero vector")
+    unit /= norms
+    n = len(a)
+    screened = np.argwhere(unit[:n] @ unit[n:].T >= threshold - SCREEN_MARGIN)
+    return [
+        (i, j, sim)
+        for i, j in screened.tolist()
+        if (sim := cosine(rows[i], rows[n + j])) >= threshold
+    ]
+
+
 class StubBackend:
     """Deterministic offline backend.
 

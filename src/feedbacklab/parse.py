@@ -26,7 +26,7 @@ from .errors import JudgeFormatError, PipelineError, StatsError
 from .ingest import AnnotationRecord
 from .judge import EndpointConfig, JudgeClient
 from .prompts import THREAD_PARSE
-from .stats import ContingencyTable, cohen_kappa, pabak
+from .stats import ContingencyTable, cohen_kappa, observed_agreement, pabak
 
 
 @dataclass(frozen=True)
@@ -211,10 +211,7 @@ def agreement_report(
             raise StatsError(f"agreement_report: no usable {kind} annotations")
         entry: dict[str, Any] = {}
         if table is not None:
-            diag = sum(
-                table.counts[i][i] for i in range(len(table.counts))
-            )
-            observed = diag / table.total
+            observed = observed_agreement(table)
             entry["inter_annotator"] = {
                 "observed_agreement": observed,
                 "pabak": pabak(observed),

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from feedbacklab.core import (
     canonical_json,
     make_unit_id,
 )
+from feedbacklab.errors import IngestError
 from feedbacklab.ingest import load_corpus, make_store, save_corpus
 
 FIXTURE = Path(feedbacklab.__file__).parent / "fixtures" / "consensus_demo"
@@ -761,6 +763,54 @@ def test_model_feedback_validation(tmp_path):
         },
     )
     assert main(["success-eval", "--config", cfg]) == 3
+
+
+def test_blank_model_feedback_text_names_file_and_line(tmp_path, capsys):
+    demo = tmp_path / "demo"
+    shutil.copytree(FIXTURE, demo)
+    feedback = demo / "model_feedback.jsonl"
+    lines = feedback.read_text().splitlines()
+    paper_id = json.loads(lines[0])["paper_id"]
+    lines.append(canonical_json({"paper_id": paper_id, "text": "   "}))
+    feedback.write_text("\n".join(lines) + "\n")
+    code = main(["consensus-eval", "--config", str(demo / "config.json")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert re.search(
+        rf"model_feedback\.jsonl:{len(lines)}: malformed model feedback", err
+    )
+    assert "Traceback" not in err
+
+
+def test_cli_loaders_name_file_and_line(tmp_path):
+    write_corpus(tmp_path / "corpus", [synth_paper("p1", [])])
+    (tmp_path / "model.jsonl").write_text(
+        canonical_json({"paper_id": "p1", "text": "a point"}) + "\n"
+        + '["p1", "another point"]\n'
+    )
+    cfg = write_config(
+        tmp_path / "config.json",
+        paths={
+            "corpus_root": "corpus",
+            "model_feedback": "model.jsonl",
+            "annotated_pairs": "pairs.jsonl",
+            "annotations": "annotations.jsonl",
+            "runs_root": "runs",
+        },
+    )
+    config = load_config(cfg)
+    with pytest.raises(IngestError, match=r"model\.jsonl:2: malformed model feedback"):
+        run("success-eval", config)
+    pair = {
+        "left_unit_id": "a",
+        "right_unit_id": "b",
+        "pair_type": HUMAN_HUMAN,
+        "cosine": 0.5,
+    }
+    for bad in ('["a", "b"]', canonical_json({**pair, "cosine": "high"})):
+        (tmp_path / "pairs.jsonl").write_text(canonical_json(pair) + "\n" + bad + "\n")
+        with pytest.raises(IngestError, match=r"pairs\.jsonl:2: malformed pair"):
+            run("calibrate", config)
 
 
 def test_set_overrides_and_hash_sensitivity(tmp_path):

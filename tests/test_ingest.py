@@ -139,6 +139,22 @@ def test_malformed_record_names_file_and_line(tmp_path):
         load_corpus(root)
 
 
+def test_json_array_line_names_file_and_line(tmp_path):
+    root, _ = write_store(tmp_path)
+    path = root / "records" / "test.jsonl"
+    path.write_text(path.read_text() + "\n" + '["p9"]\n')
+    with pytest.raises(IngestError, match=r"test\.jsonl:4: malformed record"):
+        load_corpus(root)
+    ann = tmp_path / "ann.jsonl"
+    ann.write_text(
+        canonical_json({"unit_id": "u1", "annotator_id": "a1", "validity": "agreed"})
+        + "\n\n"
+        + '["u1", "a1"]\n'
+    )
+    with pytest.raises(IngestError, match=r"ann\.jsonl:3: malformed annotation"):
+        load_annotations(ann)
+
+
 def test_record_not_in_manifest_rejected(tmp_path):
     root, _ = write_store(tmp_path)
     path = root / "records" / "test.jsonl"
