@@ -216,6 +216,12 @@ def prefilter_pairs(
     """
     if len(units_a) != len(embeddings_a) or len(units_b) != len(embeddings_b):
         raise PipelineError("prefilter_pairs: embeddings must align with units")
+    if embeddings_b is embeddings_a and not (
+        pair_type == HUMAN_HUMAN and units_b is units_a
+    ):
+        # similar_pairs gives one list's pairs only once (i < j), which
+        # covers unordered pairs over one unit list and nothing else.
+        embeddings_b = list(embeddings_b)
     edges: list[MatchEdge] = []
     seen: set[tuple[str, str]] = set()
     for i, j, sim in similar_pairs(embeddings_a, embeddings_b, threshold):

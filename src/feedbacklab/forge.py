@@ -301,7 +301,7 @@ def dedup_units(
     links = (
         (i, j)
         for i, j, sim in similar_pairs(embeddings, embeddings, threshold)
-        if i < j and sim > threshold
+        if sim > threshold
     )
     survivors: set[int] = set()
     for members in connected_components(n, links):

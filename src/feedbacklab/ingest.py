@@ -96,7 +96,8 @@ def read_jsonl(
     """(line number, parse(object)) for each nonblank line of a JSONL file.
 
     A line that is not JSON, or whose value parse cannot read (a missing
-    key, a wrong type, a bad value), raises IngestError naming path:line.
+    key, a wrong type, a bad value, or a PipelineError from the record's
+    own checks), raises IngestError naming path:line.
     """
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -104,7 +105,13 @@ def read_jsonl(
                 continue
             try:
                 item = parse(json.loads(line))
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            except (
+                AttributeError,
+                KeyError,
+                TypeError,
+                ValueError,
+                PipelineError,
+            ) as exc:
                 raise IngestError(
                     f"{path}:{lineno}: malformed {what}: {exc}"
                 ) from None

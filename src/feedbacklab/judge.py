@@ -35,6 +35,10 @@ R = TypeVar("R")
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 MAX_HTTP_ATTEMPTS = 5
 BACKOFF_BASE_SECONDS = 0.5
+# Texts per embeddings POST; larger batches are split and the rows joined.
+MAX_EMBED_BATCH = 256
+# Embedding segments hold raw little-endian float64 rows after the header.
+SEGMENT_DTYPE = np.dtype("<f8")
 
 
 @dataclass(frozen=True)
@@ -197,12 +201,15 @@ def similar_pairs(
     One matrix product over the L2-normalized rows screens all pairs at
     threshold - SCREEN_MARGIN; each pair that passes is rescored with
     cosine(), so the returned value and the >= boundary are exactly
-    cosine()'s. Pairs come in row-major order. A zero vector or a shape
-    mismatch anywhere in a or b raises cosine()'s PipelineError.
+    cosine()'s. Pairs come in row-major order. When a and b are the same
+    object, cosine() is symmetric, so only pairs with i < j are returned.
+    A zero vector or a shape mismatch anywhere in a or b raises
+    cosine()'s PipelineError.
     """
     if not len(a) or not len(b):
         return []
-    rows = [np.asarray(v, dtype=float) for v in (*a, *b)]
+    mirrored = a is b
+    rows = [np.asarray(v, dtype=float) for v in (a if mirrored else (*a, *b))]
     for row in rows[1:]:
         if row.shape != rows[0].shape:
             raise PipelineError(
@@ -213,11 +220,15 @@ def similar_pairs(
     if not norms.all():
         raise PipelineError("cosine: zero vector")
     unit /= norms
-    n = len(a)
-    screened = np.argwhere(unit[:n] @ unit[n:].T >= threshold - SCREEN_MARGIN)
+    if mirrored:
+        n = 0
+        passed = np.triu(unit @ unit.T >= threshold - SCREEN_MARGIN, k=1)
+    else:
+        n = len(a)
+        passed = unit[:n] @ unit[n:].T >= threshold - SCREEN_MARGIN
     return [
         (i, j, sim)
-        for i, j in screened.tolist()
+        for i, j in np.argwhere(passed).tolist()
         if (sim := cosine(rows[i], rows[n + j])) >= threshold
     ]
 
@@ -389,18 +400,23 @@ class HttpBackend:
     def embed(
         self, endpoint: EndpointConfig, texts: Sequence[str]
     ) -> list[np.ndarray]:
-        payload = {"model": endpoint.model_name, "input": list(texts)}
-        data = self._post(endpoint, "/embeddings", payload)
-        try:
-            vectors = [row["embedding"] for row in data["data"]]
-        except (KeyError, TypeError):
-            raise JudgeError("malformed embeddings payload") from None
-        if len(vectors) != len(texts):
-            raise JudgeError(
-                f"embeddings count mismatch: sent {len(texts)}, "
-                f"got {len(vectors)}"
-            )
-        return [_normalize(v) for v in vectors]
+        """One POST per MAX_EMBED_BATCH texts; rows in input order."""
+        out: list[np.ndarray] = []
+        for start in range(0, len(texts), MAX_EMBED_BATCH):
+            chunk = list(texts[start : start + MAX_EMBED_BATCH])
+            payload = {"model": endpoint.model_name, "input": chunk}
+            data = self._post(endpoint, "/embeddings", payload)
+            try:
+                vectors = [row["embedding"] for row in data["data"]]
+            except (KeyError, TypeError):
+                raise JudgeError("malformed embeddings payload") from None
+            if len(vectors) != len(chunk):
+                raise JudgeError(
+                    f"embeddings count mismatch: sent {len(chunk)}, "
+                    f"got {len(vectors)}"
+                )
+            out.extend(_normalize(v) for v in vectors)
+        return out
 
 
 def _extract_json(raw: str) -> Any:
@@ -440,7 +456,10 @@ class JudgeClient:
         self.cache_dir = Path(cache_dir) if cache_dir else None
         if self.cache_dir:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self._write_lock = threading.Lock()
+        self._lock = threading.Lock()
+        # Embedding key -> (segment, byte offset of its row, dim), built
+        # from the segments' header lines by the first embed().
+        self._segments: dict[str, tuple[Path, int, int]] | None = None
 
     # -- cache ---------------------------------------------------------
 
@@ -484,7 +503,7 @@ class JudgeClient:
         if not self.cache_dir:
             return
         path = self.cache_dir / f"{key}.json"
-        with self._write_lock:
+        with self._lock:
             tmp = path.with_suffix(".tmp")
             tmp.write_text(canonical_json(record), encoding="utf-8")
             tmp.replace(path)
@@ -599,6 +618,12 @@ class JudgeClient:
         )
 
     # -- embeddings ----------------------------------------------------
+    #
+    # Each embed() call that misses writes one segment,
+    # cache/emb-<sha256 of its miss keys>.bin: a canonical-JSON header
+    # line {"dim": d, "keys": [...]}, then one raw SEGMENT_DTYPE row per
+    # key, so vectors round-trip bit for bit. Only the headers are kept
+    # in memory; rows are read from disk on each hit.
 
     def _embedding_cache_key(self, endpoint: EndpointConfig, text: str) -> str:
         material = canonical_json(
@@ -606,31 +631,109 @@ class JudgeClient:
         )
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
+    def _segment_index(self) -> dict[str, tuple[Path, int, int]]:
+        """The key -> (segment, offset, dim) index; hold self._lock."""
+        if self._segments is None:
+            self._segments = {}
+            if self.cache_dir:
+                for path in sorted(self.cache_dir.glob("emb-*.bin")):
+                    self._index_segment(path)
+        return self._segments
+
+    def _index_segment(self, path: Path) -> None:
+        try:
+            with open(path, "rb") as fh:
+                line = fh.readline()
+                size = os.fstat(fh.fileno()).st_size
+            header = json.loads(line)
+            dim, keys = header["dim"], header["keys"]
+            intact = (
+                line.endswith(b"\n")
+                and type(dim) is int
+                and dim > 0
+                and isinstance(keys, list)
+                and all(isinstance(k, str) for k in keys)
+                and size == len(line) + len(keys) * dim * SEGMENT_DTYPE.itemsize
+            )
+        except (KeyError, TypeError, ValueError):
+            intact = False
+        if not intact:
+            # A torn segment (say, from a killed run) is a miss for all
+            # its keys; the call that misses them rewrites it.
+            logger.warning(
+                "judge cache: unreadable entry %s, treated as a miss", path.name
+            )
+            return
+        self._index_rows(path, len(line), dim, keys)
+
+    def _index_rows(
+        self, path: Path, header_len: int, dim: int, keys: Sequence[str]
+    ) -> None:
+        row_bytes = dim * SEGMENT_DTYPE.itemsize
+        for row, key in enumerate(keys):
+            self._segments[key] = (path, header_len + row * row_bytes, dim)
+
+    @staticmethod
+    def _read_rows(
+        found: Mapping[str, tuple[Path, int, int]]
+    ) -> dict[str, np.ndarray]:
+        """Cached vectors by key, with one read per segment touched."""
+        by_segment: dict[Path, list[tuple[str, int, int]]] = {}
+        for key, (path, offset, dim) in found.items():
+            by_segment.setdefault(path, []).append((key, offset, dim))
+        vectors: dict[str, np.ndarray] = {}
+        for path, rows in by_segment.items():
+            data = path.read_bytes()
+            for key, offset, dim in rows:
+                vectors[key] = np.frombuffer(
+                    data, SEGMENT_DTYPE, dim, offset
+                ).astype(float)
+        return vectors
+
+    def _write_segment(
+        self, keys: Sequence[str], rows: Sequence[np.ndarray]
+    ) -> None:
+        if not self.cache_dir:
+            return
+        dim = rows[0].shape[0]
+        header = (canonical_json({"dim": dim, "keys": list(keys)}) + "\n").encode()
+        name = hashlib.sha256("".join(keys).encode("ascii")).hexdigest()
+        path = self.cache_dir / f"emb-{name}.bin"
+        with self._lock:
+            tmp = path.with_suffix(".tmp")
+            with open(tmp, "wb") as fh:
+                fh.write(header)
+                fh.write(np.stack(rows).astype(SEGMENT_DTYPE).tobytes())
+            tmp.replace(path)
+            self._index_rows(path, len(header), dim, keys)
+
     def embed(
         self, endpoint: EndpointConfig, texts: Sequence[str]
     ) -> list[np.ndarray]:
-        """L2-normalized embedding per text, cached per (model, text)."""
+        """L2-normalized float64 embedding per text, cached per (model, text).
+
+        Texts cached by any earlier call are read from their segments;
+        the others go to the backend in one call, each distinct text
+        once, and are written as one new segment.
+        """
         if any(not t for t in texts):
             raise PipelineError("embed: empty string in batch")
-        vectors: dict[int, np.ndarray] = {}
-        misses: list[int] = []
-        for i, text in enumerate(texts):
-            cached = self._cache_read(self._embedding_cache_key(endpoint, text))
-            if cached is not None:
-                vectors[i] = np.asarray(cached["vector"], dtype=float)
-            else:
-                misses.append(i)
+        keys = [self._embedding_cache_key(endpoint, t) for t in texts]
+        with self._lock:
+            index = self._segment_index()
+            found = {k: index[k] for k in keys if k in index}
+        vectors = self._read_rows(found)
+        text_of = {k: t for k, t in zip(keys, texts) if k not in vectors}
+        misses = list(text_of)
         if misses:
-            fresh = self.backend.embed(endpoint, [texts[i] for i in misses])
+            fresh = self.backend.embed(endpoint, list(text_of.values()))
             if len(fresh) != len(misses):
                 raise JudgeError("backend returned wrong number of embeddings")
-            for i, vec in zip(misses, fresh):
-                vectors[i] = vec
-                self._cache_write(
-                    self._embedding_cache_key(endpoint, texts[i]),
-                    {"vector": [float(x) for x in vec]},
-                )
+            for key, vec in zip(misses, fresh):
+                vectors[key] = np.asarray(vec, dtype=float)
         dims = {v.shape[0] for v in vectors.values()}
         if len(dims) > 1:
             raise JudgeError(f"embedding dimension mismatch in batch: {dims}")
-        return [vectors[i] for i in range(len(texts))]
+        if misses:
+            self._write_segment(misses, [vectors[k] for k in misses])
+        return [vectors[k] for k in keys]

@@ -158,7 +158,7 @@ def test_torn_cache_entry_is_a_miss_and_is_rewritten(tmp_path):
     first = snapshot(run_dir)
     entries = sorted((run_dir / "cache").glob("*.json"))
     completion = next(p for p in entries if "raw_text" in p.read_text())
-    embedding = next(p for p in entries if '"vector"' in p.read_text())
+    embedding = min((run_dir / "cache").glob("emb-*.bin"))
     for entry in (completion, embedding):
         entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
     assert main(args) == 0
@@ -811,6 +811,41 @@ def test_cli_loaders_name_file_and_line(tmp_path):
         (tmp_path / "pairs.jsonl").write_text(canonical_json(pair) + "\n" + bad + "\n")
         with pytest.raises(IngestError, match=r"pairs\.jsonl:2: malformed pair"):
             run("calibrate", config)
+
+
+def test_record_checks_name_file_and_line(tmp_path, capsys):
+    # The records' own checks (MatchEdge, AnnotationRecord) raise inside
+    # the reader, which must still name path:line, once.
+    cfg = write_config(
+        tmp_path / "config.json",
+        paths={
+            "annotated_pairs": "pairs.jsonl",
+            "annotations": "annotations.jsonl",
+            "runs_root": "runs",
+        },
+    )
+    pair = {
+        "left_unit_id": "a",
+        "right_unit_id": "b",
+        "pair_type": HUMAN_HUMAN,
+        "cosine": 0.5,
+    }
+    label = {"unit_id": "a|b", "annotator_id": "a1", "match_label": True}
+    for name, bad in (
+        ("pairs.jsonl", {**pair, "pair_type": "hh"}),
+        ("annotations.jsonl", {"unit_id": "a|b", "annotator_id": "a2"}),
+    ):
+        good = {"pairs.jsonl": pair, "annotations.jsonl": label}
+        for file, line in good.items():
+            rows = [line, bad] if file == name else [line]
+            (tmp_path / file).write_text(
+                "".join(canonical_json(r) + "\n" for r in rows)
+            )
+        assert main(["calibrate", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.count(f"{name}:") == 1
+        assert f"{name}:2: malformed " in err
+        assert "Traceback" not in err
 
 
 def test_set_overrides_and_hash_sensitivity(tmp_path):

@@ -1,8 +1,11 @@
 import json
+import logging
 import math
 import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -15,6 +18,7 @@ from feedbacklab.errors import ConfigError, JudgeError, JudgeFormatError
 from feedbacklab.judge import (
     EndpointConfig,
     HttpBackend,
+    MAX_EMBED_BATCH,
     JudgeClient,
     PromptTemplate,
     RateLimiter,
@@ -546,6 +550,106 @@ def test_embed_dimension_mismatch_detected(tmp_path):
         client.embed(ENDPOINT, ["a", "b"])
 
 
+class RecordingStub(StubBackend):
+    """Stub embeddings; records the texts of every backend call."""
+
+    def __init__(self):
+        super().__init__({"embedding_dim": 8})
+        self.calls = []
+
+    def embed(self, endpoint, texts):
+        self.calls.append(list(texts))
+        return super().embed(endpoint, texts)
+
+
+def cache_state(cache_dir):
+    """Name -> (inode, mtime, bytes): a rewrite changes the inode."""
+    return {
+        p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes())
+        for p in sorted(cache_dir.iterdir())
+    }
+
+
+EMBED_TEXTS = ["alpha", "beta", "gamma", "delta", "epsilon"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(EMBED_TEXTS), min_size=1, max_size=6),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_embed_segments_match_an_uncached_client(calls):
+    uncached = JudgeClient(RecordingStub())
+    with tempfile.TemporaryDirectory() as tmp:
+        cache_dir = Path(tmp)
+        backend = RecordingStub()
+        client = JudgeClient(backend, cache_dir=cache_dir)
+        for texts, reopen in calls:
+            if reopen:
+                client = JudgeClient(backend, cache_dir=cache_dir)
+            got = client.embed(ENDPOINT, texts)
+            for vec, want in zip(got, uncached.embed(ENDPOINT, texts), strict=True):
+                assert vec.dtype == np.float64
+                assert np.array_equal(vec, want)
+        sent = [t for call in backend.calls for t in call]
+        assert len(sent) == len(set(sent))  # each text reaches the backend once
+        assert len(list(cache_dir.glob("emb-*.bin"))) == len(backend.calls)
+
+        before, backend_calls = cache_state(cache_dir), len(backend.calls)
+        for client in (client, JudgeClient(backend, cache_dir=cache_dir)):
+            for texts, _ in calls:
+                client.embed(ENDPOINT, texts)
+        assert len(backend.calls) == backend_calls
+        assert cache_state(cache_dir) == before
+
+
+def test_segment_index_under_thread_contention(tmp_path):
+    texts = [f"text {k}" for k in range(200)]
+    batches = [texts[k % 198 : k % 198 + 3] for k in range(400)]
+    want = JudgeClient(RecordingStub()).embed(ENDPOINT, texts)
+    backend = RecordingStub()
+    client = JudgeClient(backend, cache_dir=tmp_path)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = JudgeClient.map(8, lambda b: client.embed(ENDPOINT, b), batches)
+    finally:
+        sys.setswitchinterval(interval)
+    for batch, vectors in zip(batches, got):
+        for text, vec in zip(batch, vectors):
+            assert np.array_equal(vec, want[texts.index(text)])
+    # A lost index update would send a cached text to the backend again.
+    calls = len(backend.calls)
+    client.embed(ENDPOINT, texts)
+    JudgeClient(backend, cache_dir=tmp_path).embed(ENDPOINT, texts)
+    assert len(backend.calls) == calls
+
+
+@pytest.mark.parametrize("torn", ["mid-header", "mid-payload"])
+def test_torn_segment_is_a_miss_and_is_rewritten(tmp_path, caplog, torn):
+    backend = RecordingStub()
+    first = JudgeClient(backend, cache_dir=tmp_path).embed(ENDPOINT, ["x", "y"])
+    (segment,) = tmp_path.iterdir()
+    whole = segment.read_bytes()
+    header_len = whole.index(b"\n") + 1
+    cut = header_len // 2 if torn == "mid-header" else header_len + 8 * 8 + 3
+    segment.write_bytes(whole[:cut])
+
+    with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):
+        again = JudgeClient(backend, cache_dir=tmp_path).embed(ENDPOINT, ["x", "y"])
+    assert f"unreadable entry {segment.name}" in caplog.text
+    assert backend.calls == [["x", "y"], ["x", "y"]]  # both keys missed
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    assert list(tmp_path.iterdir()) == [segment]
+    assert segment.read_bytes() == whole
+
+
 # ---- cosine ----
 
 
@@ -702,6 +806,38 @@ def test_http_backend_embeddings():
     with pytest.raises(JudgeError):
         HttpBackend(session=short, sleeper=lambda s: None).embed(
             live_endpoint(), ["a", "b"]
+        )
+
+
+def test_http_backend_splits_embedding_batches():
+    texts = [f"t{k}" for k in range(600)]
+    sizes = [256, 256, 88]
+    assert MAX_EMBED_BATCH == sizes[0]
+    # Text k embeds to a multiple of (k + 1, 1), so order is checkable.
+    responses = []
+    start = 0
+    for size in sizes:
+        rows = [{"embedding": [k + 1.0, 1.0]} for k in range(start, start + size)]
+        responses.append(FakeResponse(200, {"data": rows}))
+        start += size
+    session = FakeSession(responses)
+    vecs = HttpBackend(session=session, sleeper=lambda s: None).embed(
+        live_endpoint(requests_per_minute=100), texts
+    )
+    assert [r["json"]["input"] for r in session.requests] == [
+        texts[:256],
+        texts[256:512],
+        texts[512:],
+    ]
+    assert len(vecs) == len(texts)
+    for k, vec in enumerate(vecs):
+        assert vec[0] / vec[1] == pytest.approx(k + 1.0)
+
+    full = FakeResponse(200, {"data": [{"embedding": [1.0, 0.0]}] * 256})
+    short = FakeSession([full] * 3)
+    with pytest.raises(JudgeError, match="sent 88, got 256"):
+        HttpBackend(session=short, sleeper=lambda s: None).embed(
+            live_endpoint(requests_per_minute=100), texts
         )
 
 

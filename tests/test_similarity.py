@@ -128,6 +128,11 @@ def test_kernel_matches_per_pair_cosine_loops(case, seed):
     assert similar_pairs(emb_a, emb_b, threshold) == oracle_similar_pairs(
         emb_a, emb_b, threshold
     )
+    assert similar_pairs(emb_a, emb_a, threshold) == [
+        (i, j, sim)
+        for i, j, sim in oracle_similar_pairs(emb_a, emb_a, threshold)
+        if i < j
+    ]
 
     humans = [unit(u, reviewers[u]) for u in ids_a]
     for args in (
@@ -145,6 +150,14 @@ def test_kernel_matches_per_pair_cosine_loops(case, seed):
             [unit(u, "model", Source.MODEL) for u in ids_b],
             emb_a,
             emb_b,
+            threshold,
+            HUMAN_MODEL,
+        ),
+        (
+            humans,
+            [unit(u, "model", Source.MODEL) for u in ids_a],
+            emb_a,
+            emb_a,
             threshold,
             HUMAN_MODEL,
         ),
