@@ -19,9 +19,8 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
+from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence, TypeVar
 
-import jsonschema
 import numpy as np
 
 from .core import canonical_json
@@ -101,16 +100,125 @@ class PromptTemplate:
         )
 
     @functools.cached_property
-    def validator(self) -> jsonschema.protocols.Validator:
-        """Validator for response_schema, built and schema-checked once.
+    def validator(self) -> Callable[[Any], str | None]:
+        """Response check: instance -> its most relevant violation's message.
 
-        The same steps as jsonschema.validate, minus the per-call
-        metaschema check; a malformed schema raises SchemaError here.
+        Built once per template. The schema is checked here first; one the
+        check cannot enforce raises PipelineError.
         """
         schema = dict(self.response_schema)
-        cls = jsonschema.validators.validator_for(schema)
-        cls.check_schema(schema)
-        return cls(schema)
+        _check_schema(schema, f"template {self.name}: response schema #")
+
+        def check(instance: Any) -> str | None:
+            worst = max(_violations(schema, instance, ()), key=_relevance, default=None)
+            return None if worst is None else worst[1]
+
+        return check
+
+
+# Response schemas use the keywords of _KEYWORDS from JSON Schema draft
+# 2020-12 (https://json-schema.org/draft/2020-12/json-schema-validation).
+# Messages and the choice among violations are jsonschema 4.26's, because
+# the message goes into the repair prompt.
+
+_TYPE_CHECKS: dict[str, Callable[[Any], bool]] = {
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+}
+
+
+def _is_type_name(value: Any) -> bool:
+    return isinstance(value, str) and value in _TYPE_CHECKS
+
+
+# Each supported keyword, with a check of the values it may take.
+_KEYWORDS: dict[str, Callable[[Any], bool]] = {
+    "type": lambda v: _is_type_name(v)
+    or (isinstance(v, list) and v != [] and all(map(_is_type_name, v))),
+    "properties": lambda v: isinstance(v, dict),
+    "required": lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
+    "additionalProperties": lambda v: v is False,
+    "items": lambda v: isinstance(v, dict),
+    # Scalars only, so enum needs no deep equality.
+    "enum": lambda v: isinstance(v, list)
+    and all(n is None or isinstance(n, (str, int, float)) for n in v),
+    "minimum": _TYPE_CHECKS["number"],
+    "maximum": _TYPE_CHECKS["number"],
+    "minLength": lambda v: _TYPE_CHECKS["integer"](v) and v >= 0,
+}
+
+
+def _check_schema(schema: Any, where: str) -> None:
+    if not isinstance(schema, dict):
+        raise PipelineError(f"{where}: not a schema object: {schema!r}")
+    for key, value in schema.items():
+        if key not in _KEYWORDS:
+            raise PipelineError(f"{where}: unsupported keyword {key!r}")
+        if not _KEYWORDS[key](value):
+            raise PipelineError(f"{where}: unsupported {key!r} value {value!r}")
+    for name, sub in schema.get("properties", {}).items():
+        _check_schema(sub, f"{where}/properties/{name}")
+    if "items" in schema:
+        _check_schema(schema["items"], f"{where}/items")
+
+
+def _violations(schema: dict, instance: Any, path: tuple) -> Iterator[tuple]:
+    """(instance path, message) per violation; at one node, in the order
+    of the schema's keywords."""
+    number = _TYPE_CHECKS["number"](instance)
+    is_object = isinstance(instance, dict)
+    for key, value in schema.items():
+        if key == "type":
+            names = [value] if isinstance(value, str) else value
+            if not any(_TYPE_CHECKS[name](instance) for name in names):
+                expected = ", ".join(map(repr, names))
+                yield path, f"{instance!r} is not of type {expected}"
+        elif key == "enum" and not any(
+            v == instance and isinstance(v, bool) == isinstance(instance, bool)
+            for v in value
+        ):
+            yield path, f"{instance!r} is not one of {value!r}"
+        elif key == "minimum" and number and instance < value:
+            yield path, f"{instance!r} is less than the minimum of {value!r}"
+        elif key == "maximum" and number and instance > value:
+            yield path, f"{instance!r} is greater than the maximum of {value!r}"
+        elif key == "minLength" and isinstance(instance, str) and len(instance) < value:
+            short = "should be non-empty" if value == 1 else "is too short"
+            yield path, f"{instance!r} {short}"
+        elif key == "items" and isinstance(instance, list):
+            for i, item in enumerate(instance):
+                yield from _violations(value, item, (*path, i))
+        elif key == "required" and is_object:
+            for name in value:
+                if name not in instance:
+                    yield path, f"{name!r} is a required property"
+        elif key == "properties" and is_object:
+            for name, sub in value.items():
+                if name in instance:
+                    yield from _violations(sub, instance[name], (*path, name))
+        elif key == "additionalProperties" and is_object:
+            extra = sorted(set(instance) - schema.get("properties", {}).keys())
+            if extra:
+                names = ", ".join(map(repr, extra))
+                verb = "was" if len(extra) == 1 else "were"
+                yield path, (
+                    f"Additional properties are not allowed ({names} {verb} unexpected)"
+                )
+
+
+def _relevance(violation: tuple) -> tuple:
+    """jsonschema 4.26's best_match key: the shallowest path, then the
+    greatest sibling path; max() keeps the first of equal keys. Its last
+    key, whether the instance has the schema's type, never decides here:
+    without combinators one instance path is one schema node."""
+    path = violation[0]
+    return -len(path), path
 
 
 @dataclass(frozen=True)
@@ -393,9 +501,12 @@ class HttpBackend:
         data = self._post(endpoint, "/chat/completions", payload)
         try:
             raw = data["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError):
-            raise JudgeError("malformed completion payload") from None
-        return raw, dict(data.get("usage", {}))
+            usage = dict(data.get("usage", {}))
+        except (KeyError, IndexError, TypeError, ValueError):
+            raw = None
+        if not isinstance(raw, str):
+            raise JudgeError("malformed completion payload")
+        return raw, usage
 
     def embed(
         self, endpoint: EndpointConfig, texts: Sequence[str]
@@ -407,9 +518,13 @@ class HttpBackend:
             payload = {"model": endpoint.model_name, "input": chunk}
             data = self._post(endpoint, "/embeddings", payload)
             try:
-                vectors = [row["embedding"] for row in data["data"]]
-            except (KeyError, TypeError):
-                raise JudgeError("malformed embeddings payload") from None
+                vectors = [
+                    np.asarray(row["embedding"], dtype=float) for row in data["data"]
+                ]
+            except (KeyError, TypeError, ValueError):
+                vectors = None
+            if vectors is None or any(v.ndim != 1 for v in vectors):
+                raise JudgeError("malformed embeddings payload")
             if len(vectors) != len(chunk):
                 raise JudgeError(
                     f"embeddings count mismatch: sent {len(chunk)}, "
@@ -515,11 +630,9 @@ class JudgeClient:
             parsed = _extract_json(raw)
         except json.JSONDecodeError as exc:
             raise ValueError(f"not valid JSON: {exc}") from None
-        error = jsonschema.exceptions.best_match(
-            template.validator.iter_errors(parsed)
-        )
-        if error is not None:
-            raise ValueError(f"schema violation: {error.message}")
+        message = template.validator(parsed)
+        if message is not None:
+            raise ValueError(f"schema violation: {message}")
         return parsed
 
     def complete(

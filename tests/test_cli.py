@@ -889,12 +889,17 @@ def test_throughput_settings_do_not_change_the_run_id(tmp_path):
     assert config_hash(other_model) != config_hash(load_config(cfg_a))
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test-only reference; the package must not pull it in.
+def test_cli_import_loads_no_heavy_packages():
+    # scipy and jsonschema (with its dependencies) are test-only
+    # references, and requests is imported only by a live backend.
+    heavy = ["jsonschema", "referencing", "rpds", "attrs", "scipy", "requests"]
     paths = [str(Path(feedbacklab.__file__).parent.parent)]
     paths += filter(None, [os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    probe = "import sys, feedbacklab.cli; print('scipy' in sys.modules)"
+    probe = (
+        "import sys, feedbacklab.cli; "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe],
         env=env,
@@ -903,4 +908,4 @@ def test_cli_import_loads_no_scipy():
         timeout=60,
         check=True,
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"

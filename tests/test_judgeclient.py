@@ -14,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feedbacklab.core import canonical_json
-from feedbacklab.errors import ConfigError, JudgeError, JudgeFormatError
+from feedbacklab.errors import (
+    ConfigError,
+    JudgeError,
+    JudgeFormatError,
+    PipelineError,
+)
 from feedbacklab.judge import (
     EndpointConfig,
     HttpBackend,
@@ -397,6 +402,34 @@ def test_compiled_validator_matches_on_random_replacements(data):
     )
 
 
+# Integral floats count as integers in draft 2020-12.
+SIBLING_VALUES = JSON_VALUES | st.integers(-3, 7).map(float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_compiled_validator_matches_on_multi_site_replacements(data):
+    # Several violations at one depth are where best_match's tie-breaks
+    # decide, and a single replacement rarely produces them.
+    name = data.draw(st.sampled_from(sorted(REGISTRY)))
+    instance = VALID_RESPONSES[name]
+    paths = data.draw(
+        st.lists(
+            st.sampled_from(list(node_paths(instance))[1:]),
+            min_size=2,
+            max_size=3,
+            unique=True,
+        )
+    )
+    # Deepest first, so every path still exists when it is replaced.
+    for path in sorted(paths, key=len, reverse=True):
+        instance = replaced(instance, path, data.draw(SIBLING_VALUES))
+    template = REGISTRY[name]
+    assert compiled_message(template, instance) == reference_message(
+        template, instance
+    )
+
+
 def test_shared_validator_under_thread_contention():
     cases = [
         (REGISTRY[name], instance)
@@ -424,8 +457,34 @@ def test_malformed_schema_still_raises_schema_error():
         response_schema={"type": "no-such-type"},
     )
     client = JudgeClient(ScriptedBackend([GOOD]))
-    with pytest.raises(jsonschema.SchemaError):
+    with pytest.raises(PipelineError):
         client.complete(ENDPOINT, broken, bindings())
+    # Every schema the validator cannot enforce fails at first use,
+    # naming the template and the offending part.
+    unsupported = {
+        "#: unsupported keyword 'pattern'": {"type": "string", "pattern": "x"},
+        "#/properties/match: unsupported 'type' value 'no-such-type'": {
+            "properties": {"match": {"type": "no-such-type"}}
+        },
+        "#: unsupported 'additionalProperties' value True": {
+            "additionalProperties": True
+        },
+        "#/properties/units: unsupported 'items' value True": {
+            "properties": {"units": {"type": "array", "items": True}}
+        },
+    }
+    for where, schema in unsupported.items():
+        template = PromptTemplate(
+            name="odd",
+            version="1",
+            system_text="",
+            user_text="",
+            response_schema=schema,
+        )
+        message = f"template odd: response schema {where}"
+        with pytest.raises(PipelineError) as info:
+            template.validator
+        assert str(info.value) == message
 
 
 def test_validator_is_per_template_not_per_name():
@@ -839,6 +898,30 @@ def test_http_backend_splits_embedding_batches():
         HttpBackend(session=short, sleeper=lambda s: None).embed(
             live_endpoint(requests_per_minute=100), texts
         )
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        completion_payload(None),
+        completion_payload(["a"]),
+        {**completion_payload(GOOD), "usage": None},
+    ],
+)
+def test_http_backend_malformed_completion_is_judge_error(payload):
+    session = FakeSession([FakeResponse(200, payload)])
+    backend = HttpBackend(session=session, sleeper=lambda s: None)
+    with pytest.raises(JudgeError, match="malformed completion payload"):
+        backend.complete(live_endpoint(), PAIR_MATCH, bindings(), "s", "u")
+
+
+@pytest.mark.parametrize("row", ["abc", 5, [[1.0], [1.0, 2.0]], {}])
+def test_http_backend_non_vector_embedding_is_judge_error(row):
+    payload = {"data": [{"embedding": row}]}
+    session = FakeSession([FakeResponse(200, payload)])
+    backend = HttpBackend(session=session, sleeper=lambda s: None)
+    with pytest.raises(JudgeError, match="malformed embeddings payload"):
+        backend.embed(live_endpoint(), ["a"])
 
 
 def test_http_backend_non_json_200_is_judge_error():
