@@ -616,11 +616,7 @@ def cmd_success_eval(ctx: RunContext) -> EvalReport:
             config.thresholds.quality,
         )
 
-    evaluations = client.map(
-        min(quality_endpoint.max_concurrency, predictor_endpoint.max_concurrency),
-        evaluate,
-        jobs,
-    )
+    evaluations = client.map(evaluate, jobs)
     per_paper: dict[str, list[successeval.UnitEvaluation]] = {}
     for (paper, _), evaluation in zip(jobs, evaluations):
         per_paper.setdefault(paper.paper_id, []).append(evaluation)
@@ -694,9 +690,17 @@ def cmd_report(ctx: RunContext) -> EvalReport:
             f"report: no stored report at {stored}; run a pipeline command "
             "with this config first"
         )
-    report = EvalReport.from_dict(
-        json.loads(stored.read_text(encoding="utf-8"))
-    )
+    try:
+        report = EvalReport.from_dict(
+            json.loads(stored.read_text(encoding="utf-8"))
+        )
+    except (AttributeError, KeyError, TypeError, ValueError, PipelineError) as exc:
+        # A torn write or a hand edit; the command that wrote it rebuilds it.
+        raise PipelineError(
+            f"report: stored report {stored} is unreadable "
+            f"({type(exc).__name__}: {exc}); rerun the pipeline command "
+            "with this config"
+        ) from None
     ctx.render(report)
     return report
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -103,11 +103,6 @@ class Flags:
     require_partner_success: bool = False
     chosen_successful_only: bool = False
     quality_filter_in_proxy_modes: bool = True
-
-    def validate(self, errors: list[str]) -> None:
-        for f in fields(self):
-            if not isinstance(getattr(self, f.name), bool):
-                errors.append(f"flags.{f.name} must be a boolean")
 
 
 @dataclass(frozen=True)
@@ -209,12 +204,49 @@ def _apply_override(data: dict[str, Any], spec: str, errors: list[str]) -> None:
     node[parts[-1]] = value
 
 
-def _build_section(cls, data: Mapping[str, Any], name: str, errors: list[str]):
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    for key in sorted(unknown):
-        errors.append(f"{name}.{key} is not a recognized setting")
-    kwargs = {k: v for k, v in data.items() if k in known}
+_TYPE_NAMES = {
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    dict: "an object",
+}
+
+
+def _object(value: Any, name: str, errors: list[str]) -> dict[str, Any]:
+    """value if it is a JSON object; otherwise {} and an error."""
+    if isinstance(value, dict):
+        return value
+    errors.append(f"{name} must be an object")
+    return {}
+
+
+def _has_type_of(value: Any, default: Any) -> bool:
+    """Whether value may stand where the field's default stands."""
+    if isinstance(value, bool) != isinstance(default, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
+def _build_section(cls, data: Any, name: str, errors: list[str]):
+    """cls from a config object; an unknown key or a value of the wrong
+    type is reported and left at its default."""
+    defaults = {
+        f.name: f.default if f.default is not MISSING else f.default_factory()
+        for f in fields(cls)
+    }
+    data = _object(data, name, errors)
+    kwargs = {}
+    for key in sorted(data):
+        if key not in defaults:
+            errors.append(f"{name}.{key} is not a recognized setting")
+        elif not _has_type_of(data[key], defaults[key]):
+            expected = _TYPE_NAMES[type(defaults[key])]
+            errors.append(f"{name}.{key} must be {expected}")
+        else:
+            kwargs[key] = data[key]
     try:
         return cls(**kwargs)
     except (ConfigError, TypeError, ValueError) as exc:
@@ -249,19 +281,23 @@ def parse_config(
     mode = merged.get("mode", "stub")
     if mode not in MODES:
         errors.append(f"mode={mode!r} must be one of {MODES}")
+    split = merged.get("split", "test")
+    stub_fixture = merged.get("stub_fixture", "")
+    for key, value in (("split", split), ("stub_fixture", stub_fixture)):
+        if not isinstance(value, str):
+            errors.append(f"{key} must be a string")
 
     endpoints: dict[str, EndpointConfig] = {}
-    for task, spec in merged.get("endpoints", {}).items():
+    for task, spec in _object(merged.get("endpoints", {}), "endpoints", errors).items():
         if task not in JUDGE_TASKS:
             errors.append(
                 f"endpoints.{task} is not a judge task (expected one of "
                 f"{', '.join(JUDGE_TASKS)})"
             )
             continue
-        try:
-            endpoints[task] = EndpointConfig(**spec)
-        except (ConfigError, TypeError) as exc:
-            errors.append(f"endpoints.{task}: {exc}")
+        endpoints[task] = _build_section(
+            EndpointConfig, spec, f"endpoints.{task}", errors
+        )
     if mode == "live":
         for task in JUDGE_TASKS:
             endpoint = endpoints.get(task)
@@ -270,23 +306,15 @@ def parse_config(
                     f"live mode: judge task {task!r} has no endpoint base_url"
                 )
 
-    thresholds_data = dict(merged.get("thresholds", {}))
-    quality_data = thresholds_data.pop("quality", {})
-    thresholds = _build_section(
-        Thresholds,
-        {
-            **thresholds_data,
-            **(
-                {"quality": _build_section(
-                    QualityThresholds, quality_data, "thresholds.quality", errors
-                )}
-                if quality_data
-                else {}
-            ),
-        },
-        "thresholds",
-        errors,
-    )
+    thresholds_data = dict(_object(merged.get("thresholds", {}), "thresholds", errors))
+    if "quality" in thresholds_data:
+        thresholds_data["quality"] = _build_section(
+            QualityThresholds,
+            thresholds_data["quality"],
+            "thresholds.quality",
+            errors,
+        )
+    thresholds = _build_section(Thresholds, thresholds_data, "thresholds", errors)
     sampling = _build_section(
         Sampling, merged.get("sampling", {}), "sampling", errors
     )
@@ -295,10 +323,8 @@ def parse_config(
 
     thresholds.validate(errors)
     sampling.validate(errors)
-    flags.validate(errors)
 
-    stub_fixture = merged.get("stub_fixture", "")
-    if mode == "stub" and stub_fixture:
+    if mode == "stub" and stub_fixture and isinstance(stub_fixture, str):
         fixture_path = (base_dir / stub_fixture).resolve()
         if not fixture_path.exists():
             errors.append(f"stub_fixture {fixture_path} does not exist")
@@ -309,7 +335,7 @@ def parse_config(
         )
     return PipelineConfig(
         mode=mode,
-        split=merged.get("split", "test"),
+        split=split,
         stub_fixture=stub_fixture,
         base_dir=base_dir,
         endpoints=endpoints,

@@ -607,9 +607,8 @@ def build_corruption_bank(
 ) -> tuple[dict[str, list[CorruptionVariant]], list[FilterStats]]:
     """Corrupt and verify every successful unit across papers.
 
-    Each target's corrupt-then-verify chain is one JudgeClient.map item,
-    bounded by the smaller of the two endpoints' max_concurrency; bank
-    and stats keep the papers' and units' input order.
+    Each target's corrupt-then-verify chain is one JudgeClient.map item;
+    bank and stats keep the papers' and units' input order.
     """
     targets = [
         (paper, unit)
@@ -624,10 +623,6 @@ def build_corruption_bank(
             client, endpoint_verify, variants, unit, paper, seed=seed
         )
 
-    results = client.map(
-        min(endpoint_corrupt.max_concurrency, endpoint_verify.max_concurrency),
-        corrupt_and_verify,
-        targets,
-    )
+    results = client.map(corrupt_and_verify, targets)
     bank = {unit.id: kept for (_, unit), (kept, _) in zip(targets, results)}
     return bank, [stats for _, stats in results]

@@ -7,6 +7,7 @@ backend apply uniformly. No other module performs network I/O.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -559,11 +560,31 @@ def _extract_json(raw: str) -> Any:
     raise json.JSONDecodeError("no JSON value found", raw, 0)
 
 
+class _Miss(BaseException):
+    """Raised in cache-only mode by the first call that would reach the
+    backend, carrying the size of that endpoint's budget.
+
+    A BaseException, so that no `except Exception` in a mapped function
+    can swallow it.
+    """
+
+    def __init__(self, budget: int):
+        super().__init__(budget)
+        self.budget = budget
+
+
+class _Mode(threading.local):
+    # While set, a call that would reach the backend raises _Miss.
+    cache_only = False
+
+
 class JudgeClient:
     """Schema-validated judging with a persistent content-addressed cache.
 
     One repair re-prompt is attempted on schema violations; a second
-    failure raises JudgeFormatError carrying the raw text.
+    failure raises JudgeFormatError carrying the raw text. Backend calls
+    hold a slot of their endpoint's budget, one BoundedSemaphore of
+    max_concurrency slots per (base_url, max_concurrency).
     """
 
     def __init__(self, backend: Backend, cache_dir: str | Path | None = None):
@@ -571,10 +592,30 @@ class JudgeClient:
         self.cache_dir = Path(cache_dir) if cache_dir else None
         if self.cache_dir:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
+        # Guards cache writes and the segment index only.
         self._lock = threading.Lock()
         # Embedding key -> (segment, byte offset of its row, dim), built
         # from the segments' header lines by the first embed().
         self._segments: dict[str, tuple[Path, int, int]] | None = None
+        self._budgets: dict[tuple[str, int], threading.BoundedSemaphore] = {}
+        self._budgets_lock = threading.Lock()
+        self._mode = _Mode()
+
+    @contextlib.contextmanager
+    def _backend_slot(self, endpoint: EndpointConfig) -> Iterator[None]:
+        """Hold one slot of endpoint's budget; in cache-only mode, raise
+        _Miss instead."""
+        if self._mode.cache_only:
+            raise _Miss(endpoint.max_concurrency)
+        key = (endpoint.base_url, endpoint.max_concurrency)
+        with self._budgets_lock:
+            if key not in self._budgets:
+                self._budgets[key] = threading.BoundedSemaphore(
+                    endpoint.max_concurrency
+                )
+            budget = self._budgets[key]
+        with budget:
+            yield
 
     # -- cache ---------------------------------------------------------
 
@@ -608,10 +649,14 @@ class JudgeClient:
                 return json.load(fh)
         except ValueError:
             # A torn entry (say, from a killed run) is a miss; the fresh
-            # result overwrites it.
-            logger.warning(
-                "judge cache: unreadable entry %s, treated as a miss", path.name
-            )
+            # result overwrites it. A cache-only read stays silent: the
+            # miss sends the call back outside that mode, which reads the
+            # entry again and warns once.
+            if not self._mode.cache_only:
+                logger.warning(
+                    "judge cache: unreadable entry %s, treated as a miss",
+                    path.name,
+                )
             return None
 
     def _cache_write(self, key: str, record: dict) -> None:
@@ -655,9 +700,10 @@ class JudgeClient:
                 model_name=endpoint.model_name,
             )
 
-        raw, usage = self.backend.complete(
-            endpoint, template, bindings, system_text, user_text
-        )
+        with self._backend_slot(endpoint):
+            raw, usage = self.backend.complete(
+                endpoint, template, bindings, system_text, user_text
+            )
         try:
             parsed = self._validate(template, raw)
         except ValueError as first_error:
@@ -673,9 +719,10 @@ class JudgeClient:
                 + "\nReturn only a corrected JSON value matching the "
                 "required structure."
             )
-            raw, usage = self.backend.complete(
-                endpoint, template, bindings, system_text, repair_user
-            )
+            with self._backend_slot(endpoint):
+                raw, usage = self.backend.complete(
+                    endpoint, template, bindings, system_text, repair_user
+                )
             try:
                 parsed = self._validate(template, raw)
             except ValueError as second_error:
@@ -696,24 +743,46 @@ class JudgeClient:
             model_name=endpoint.model_name,
         )
 
-    @staticmethod
-    def map(
-        max_concurrency: int, fn: Callable[[T], R], items: Sequence[T]
-    ) -> list[R]:
-        """fn over items with at most max_concurrency calls in flight.
+    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+        """fn over items: the single fan-out path for judge work.
 
-        The single fan-out path for judge work. Results come back in
-        input order; the failure of the earliest failing item propagates
-        and items not yet started are cancelled. Runs inline when
-        max_concurrency is 1 or there is at most one item; otherwise each
-        call gets its own thread pool, so nested calls cannot deadlock.
+        Items run one after another on the calling thread in cache-only
+        mode, so cache hits start no thread and take no slot. The first
+        item that would reach the backend stops that pass; it and every
+        item after it run again on a thread pool of its own, as wide as
+        that endpoint's budget (max_concurrency) and never wider than
+        the items left (width 1 runs them on the calling thread). Every
+        backend call, in any map of this client, holds a slot of its
+        endpoint's budget, and nothing holds a slot while it waits, so
+        nested and concurrent maps can neither deadlock nor exceed a
+        limit. A map nested in an item that runs cache-only passes the
+        miss up to the outer map. The item that missed runs again from
+        its start, so fn should have no effect but its judge calls.
+
+        Results come back in input order; the failure of the earliest
+        failing item propagates and items not yet started are cancelled.
         """
-        if max_concurrency == 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        pool = ThreadPoolExecutor(max_workers=min(max_concurrency, len(items)))
+        mode = self._mode
+        outer = mode.cache_only
+        done: list[R] = []
+        mode.cache_only = True
         try:
-            futures = [pool.submit(fn, item) for item in items]
-            return [f.result() for f in futures]
+            for item in items:
+                done.append(fn(item))
+            return done
+        except _Miss as miss:
+            if outer:
+                raise
+            width = min(miss.budget, len(items) - len(done))
+        finally:
+            mode.cache_only = outer
+        rest = items[len(done) :]
+        if width == 1:
+            return done + [fn(item) for item in rest]
+        pool = ThreadPoolExecutor(max_workers=width)
+        try:
+            futures = [pool.submit(fn, item) for item in rest]
+            return done + [f.result() for f in futures]
         finally:
             pool.shutdown(cancel_futures=True)
 
@@ -724,11 +793,7 @@ class JudgeClient:
         bindings_list: Sequence[Mapping[str, Any]],
     ) -> list[JudgeResponse]:
         """complete() over many bindings through map(), in input order."""
-        return self.map(
-            endpoint.max_concurrency,
-            lambda b: self.complete(endpoint, template, b),
-            bindings_list,
-        )
+        return self.map(lambda b: self.complete(endpoint, template, b), bindings_list)
 
     # -- embeddings ----------------------------------------------------
     #
@@ -839,7 +904,8 @@ class JudgeClient:
         text_of = {k: t for k, t in zip(keys, texts) if k not in vectors}
         misses = list(text_of)
         if misses:
-            fresh = self.backend.embed(endpoint, list(text_of.values()))
+            with self._backend_slot(endpoint):
+                fresh = self.backend.embed(endpoint, list(text_of.values()))
             if len(fresh) != len(misses):
                 raise JudgeError("backend returned wrong number of embeddings")
             for key, vec in zip(misses, fresh):

@@ -135,11 +135,7 @@ def parse_papers(
     back in input order, results flattened paper by paper.
     """
     jobs = [(record, thread) for record in records for thread in record.threads]
-    results = client.map(
-        endpoint.max_concurrency,
-        lambda job: parse_thread(client, endpoint, *job),
-        jobs,
-    )
+    results = client.map(lambda job: parse_thread(client, endpoint, *job), jobs)
     updated: list[PaperRecord] = []
     start = 0
     for record in records:

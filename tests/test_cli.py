@@ -11,7 +11,7 @@ import pytest
 
 import feedbacklab
 from feedbacklab.cli import COMMANDS, main, run
-from feedbacklab.config import config_hash, load_config
+from feedbacklab.config import JUDGE_TASKS, config_hash, load_config
 from feedbacklab.consensus import HUMAN_HUMAN, HUMAN_MODEL, stratum_bounds
 from feedbacklab.core import (
     AuthorAction,
@@ -188,6 +188,24 @@ def test_report_requires_a_stored_run(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("damage", ["truncated", "no tables"])
+def test_report_on_a_damaged_stored_report_exits_3(tmp_path, capsys, damage):
+    args = ["--config", FIXTURE_CONFIG, "--set", f"paths.runs_root={tmp_path}"]
+    assert main(["consensus-eval", *args]) == 0
+    stored = only_run_dir(tmp_path) / "artifacts" / "eval_report.json"
+    if damage == "truncated":
+        stored.write_bytes(stored.read_bytes()[: stored.stat().st_size // 2])
+    else:
+        data = json.loads(stored.read_text())
+        del data["tables"]
+        stored.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["report", *args]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: report: stored report {stored} is unreadable")
+    assert "rerun the pipeline command" in err and "Traceback" not in err
+
+
 def test_locked_run_dir_fails_cleanly(tmp_path):
     config = load_config(
         FIXTURE_CONFIG, [f"paths.runs_root={tmp_path}"]
@@ -235,6 +253,34 @@ def test_bad_config_exits_2(tmp_path):
     cfg.write_text(json.dumps({"mode": "telepathy"}))
     assert main(["ingest", "--config", str(cfg)]) == 2
     assert main(["ingest", "--config", str(tmp_path / "absent.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"endpoints": []}, "endpoints must be an object"),
+        ({"endpoints": {"pair_match": 4}}, "endpoints.pair_match must be an object"),
+        (
+            {"endpoints": {"pair_match": {"max_concurrency": 2.5}}},
+            "endpoints.pair_match.max_concurrency must be an integer",
+        ),
+        ({"sampling": {"k": "5"}}, "sampling.k must be an integer"),
+        ({"thresholds": 3}, "thresholds must be an object"),
+        ({"thresholds": {"dedup": True}}, "thresholds.dedup must be a number"),
+        ({"thresholds": {"quality": []}}, "thresholds.quality must be an object"),
+        ({"paths": {"corpus_root": 1}}, "paths.corpus_root must be a string"),
+        ({"flags": {"macro": 1}}, "flags.macro must be a boolean"),
+        ({"stub_fixture": 5}, "stub_fixture must be a string"),
+    ],
+)
+def test_malformed_config_section_exits_2(tmp_path, capsys, data, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**data, "split": ["test"]}))
+    assert main(["ingest", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: configuration invalid:\n")
+    # every problem is collected, not only the first
+    assert f"  - {message}\n" in err and "  - split must be a string\n" in err
 
 
 def test_unknown_command_rejected_by_parser():
@@ -338,34 +384,39 @@ def test_ingest_command(tmp_path):
     assert corpus["successful_units"] == ["1"]
 
 
-def test_parse_command_writes_store_and_clean_audit(tmp_path):
-    papers = [synth_paper("p1", [], threads=("R1", "R2"))]
-    write_corpus(tmp_path / "corpus", papers)
-    stub = {
-        "templates": {
-            "thread_parse": {
-                "default": {
-                    "units": [
-                        {
-                            "feedback_text": "needs a baseline",
-                            "author_response_text": "we will add one",
-                            "validity": "agreed",
-                            "author_action": "will_revise",
-                            "aspects": ["comparison_previous_studies"],
-                            "dimensions": ["feed_back"],
-                        }
-                    ],
-                    "skipped_positive_count": 1,
-                }
+PARSE_STUB = {
+    "templates": {
+        "thread_parse": {
+            "default": {
+                "units": [
+                    {
+                        "feedback_text": "needs a baseline",
+                        "author_response_text": "we will add one",
+                        "validity": "agreed",
+                        "author_action": "will_revise",
+                        "aspects": ["comparison_previous_studies"],
+                        "dimensions": ["feed_back"],
+                    }
+                ],
+                "skipped_positive_count": 1,
             }
         }
     }
-    (tmp_path / "stub.json").write_text(json.dumps(stub))
-    cfg = write_config(
+}
+
+
+def parse_setup(tmp_path, papers):
+    write_corpus(tmp_path / "corpus", papers)
+    (tmp_path / "stub.json").write_text(json.dumps(PARSE_STUB))
+    return write_config(
         tmp_path / "config.json",
         stub_fixture="stub.json",
         paths={"corpus_root": "corpus", "runs_root": "runs"},
     )
+
+
+def test_parse_command_writes_store_and_clean_audit(tmp_path):
+    cfg = parse_setup(tmp_path, [synth_paper("p1", [], threads=("R1", "R2"))])
     assert main(["parse", "--config", cfg]) == 0
     run_dir = only_run_dir(tmp_path / "runs")
 
@@ -647,6 +698,46 @@ def test_success_eval_command(tmp_path):
     assert report["metadata"]["units_scored"] == 2
 
 
+def assert_same_bytes_at_any_concurrency(tmp_path, command, cfg, *extra):
+    """Cold runs of command with every endpoint's max_concurrency at 1, 4
+    and 16 leave the same run directory, cache included; each is kept
+    as tmp_path/done-<n>."""
+    runs = {}
+    for max_concurrency in (1, 4, 16):
+        args = [command, "--config", cfg, *extra]
+        for task in JUDGE_TASKS:
+            args += ["--set", f"endpoints.{task}.max_concurrency={max_concurrency}"]
+        assert main(args) == 0
+        run_dir = only_run_dir(tmp_path / "runs")
+        runs[max_concurrency] = (run_dir.name, snapshot(run_dir))
+        shutil.move(run_dir, tmp_path / f"done-{max_concurrency}")
+    assert runs[1] == runs[4] == runs[16]
+    assert any(name.startswith("cache/") for name in runs[1][1])
+
+
+def test_parse_same_bytes_at_any_concurrency(tmp_path):
+    papers = [synth_paper(f"p{i}", [], threads=("R1", "R2", "R3")) for i in range(6)]
+    cfg = parse_setup(tmp_path, papers)
+    assert_same_bytes_at_any_concurrency(tmp_path, "parse", cfg)
+
+
+def test_forge_dpo_same_bytes_at_any_concurrency(tmp_path):
+    cfg = forge_dpo_setup(tmp_path)
+    assert_same_bytes_at_any_concurrency(
+        tmp_path, "forge-dpo", cfg, "--set", "sampling.max_corruption_units_per_paper=7"
+    )
+
+
+def test_consensus_eval_same_bytes_at_any_concurrency(tmp_path):
+    assert_same_bytes_at_any_concurrency(
+        tmp_path,
+        "consensus-eval",
+        FIXTURE_CONFIG,
+        "--set",
+        f"paths.runs_root={tmp_path / 'runs'}",
+    )
+
+
 def test_success_eval_same_bytes_at_any_concurrency(tmp_path):
     papers = [synth_paper(f"p{i}", []) for i in range(3)]
     write_corpus(tmp_path / "corpus", papers)
@@ -701,20 +792,7 @@ def test_success_eval_same_bytes_at_any_concurrency(tmp_path):
             "runs_root": "runs",
         },
     )
-    runs = {}
-    for max_concurrency in (1, 4):
-        overrides = [
-            f"endpoints.{task}.max_concurrency={max_concurrency}"
-            for task in ("quality_score", "response_predict")
-        ]
-        args = ["success-eval", "--config", cfg]
-        for spec in overrides:
-            args += ["--set", spec]
-        assert main(args) == 0
-        run_dir = only_run_dir(tmp_path / "runs")
-        runs[max_concurrency] = (run_dir.name, snapshot(run_dir))
-        shutil.move(run_dir, tmp_path / f"done-{max_concurrency}")
-    assert runs[1] == runs[4]
+    assert_same_bytes_at_any_concurrency(tmp_path, "success-eval", cfg)
     evaluations = (
         (tmp_path / "done-4" / "artifacts" / "unit_evaluations.jsonl")
         .read_text()

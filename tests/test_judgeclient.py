@@ -1,3 +1,4 @@
+import itertools
 import json
 import logging
 import math
@@ -5,6 +6,8 @@ import sys
 import tempfile
 import threading
 import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import jsonschema
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from feedbacklab import judge as judge_module
 from feedbacklab.core import canonical_json
 from feedbacklab.errors import (
     ConfigError,
@@ -440,9 +444,8 @@ def test_shared_validator_under_thread_contention():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = JudgeClient.map(
-            8, lambda case: compiled_message(*case), cases
-        )
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(lambda case: compiled_message(*case), cases))
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
@@ -521,54 +524,184 @@ def test_map_complete_preserves_order_and_bounds_concurrency():
     assert client.map_complete(endpoint, PAIR_MATCH, []) == []
 
 
-def test_map_keeps_order_and_bounds_in_flight():
-    lock = threading.Lock()
-    in_flight = peak = 0
-    # the first three items can only pass the barrier together, so three
-    # calls must be in flight at once
-    first_three = threading.Barrier(3, timeout=10)
+class EchoBackend:
+    """pair_match replies that echo left_text; tracks backend calls in
+    flight per endpoint (keyed by base_url)."""
 
-    def fn(i):
-        nonlocal in_flight, peak
-        with lock:
-            in_flight += 1
-            peak = max(peak, in_flight)
-        if i < 3:
-            first_three.wait()
-        time.sleep(0.002)
-        with lock:
-            in_flight -= 1
-        return i * i
+    def __init__(self, delay=0.005, barrier=None):
+        self.delay = delay
+        self.barrier = barrier  # the first barrier.parties calls wait on it
+        self.calls = []
+        self.in_flight = Counter()
+        self.peak = Counter()
+        self._lock = threading.Lock()
 
-    assert JudgeClient.map(3, fn, list(range(30))) == [i * i for i in range(30)]
-    assert peak == 3
-    assert JudgeClient.map(3, fn, []) == []
-
-
-def test_map_propagates_earliest_failure_and_cancels_the_rest():
-    calls = []
-
-    def fn(i):
-        calls.append(i)
-        time.sleep(0.01)
-        if i in (2, 5):
-            raise ValueError(f"item {i}")
-        return i
-
-    for max_concurrency in (1, 3):
-        calls.clear()
-        with pytest.raises(ValueError, match="item 2"):
-            JudgeClient.map(max_concurrency, fn, list(range(40)))
-        assert len(calls) < 40  # items not yet started were cancelled
+    def complete(self, endpoint, template, bindings, system_text, user_text):
+        url = endpoint.base_url
+        with self._lock:
+            self.calls.append(bindings["left_text"])
+            self.in_flight[url] += 1
+            self.peak[url] = max(self.peak[url], self.in_flight[url])
+            wait = self.barrier is not None and len(self.calls) <= self.barrier.parties
+        if wait:
+            self.barrier.wait()
+        time.sleep(self.delay)
+        with self._lock:
+            self.in_flight[url] -= 1
+        reply = {"match": "1", "explanation": bindings["left_text"]}
+        return canonical_json(reply), {}
 
 
-def test_map_nested_calls_complete():
-    def inner(i):
-        return JudgeClient.map(2, lambda j: (i, j), range(3))
-
-    assert JudgeClient.map(2, inner, range(4)) == [
-        [(i, j) for j in range(3)] for i in range(4)
+def echo(client, endpoint, left):
+    return client.complete(endpoint, PAIR_MATCH, bindings(left=left)).parsed[
+        "explanation"
     ]
+
+
+def test_map_keeps_order_and_bounds_in_flight(tmp_path):
+    # the first three backend calls can only pass the barrier together,
+    # so three calls must be in flight at once
+    backend = EchoBackend(barrier=threading.Barrier(3, timeout=10))
+    endpoint = EndpointConfig(max_concurrency=3)
+    client = JudgeClient(backend, cache_dir=tmp_path)
+    # items 0-9 are cached: they run inline, the rest on the pool
+    cold = client.map(lambda i: echo(client, endpoint, str(i)), range(10))
+    assert cold == [str(i) for i in range(10)]
+    warm = client.map(lambda i: echo(client, endpoint, str(i)), range(30))
+    assert warm == [str(i) for i in range(30)]
+    assert sorted(backend.calls, key=int) == [str(i) for i in range(30)]
+    assert backend.peak[""] == 3
+    assert client.map(lambda i: echo(client, endpoint, str(i)), []) == []
+
+
+def test_map_propagates_earliest_failure_and_cancels_the_rest(tmp_path):
+    for max_concurrency, warm in itertools.product((1, 3), (False, True)):
+        endpoint = EndpointConfig(max_concurrency=max_concurrency)
+        cache_dir = tmp_path / f"{max_concurrency}-{warm}"
+        client = JudgeClient(EchoBackend(delay=0.01), cache_dir=cache_dir)
+        if warm:  # every item is a hit, so all of them run inline
+            client.map(lambda i: echo(client, endpoint, str(i)), range(40))
+        started = set()
+
+        def fn(i):
+            started.add(i)
+            echo(client, endpoint, str(i))
+            if i in (2, 5):
+                raise ValueError(f"item {i}")
+            return i
+
+        with pytest.raises(ValueError, match="item 2"):
+            client.map(fn, list(range(40)))
+        assert len(started) < 40  # items not yet started were cancelled
+
+
+def test_map_nested_calls_complete(tmp_path):
+    backend = EchoBackend()
+    endpoint = EndpointConfig(max_concurrency=2)
+    client = JudgeClient(backend, cache_dir=tmp_path)
+
+    def inner(i):
+        return client.map(lambda j: echo(client, endpoint, f"{i}-{j}"), range(3))
+
+    want = [[f"{i}-{j}" for j in range(3)] for i in range(4)]
+    # Items 0 and 1 are cached whole and run inline; item 2's nested map
+    # hits on 2-0 and misses on 2-1, which the outer map takes over.
+    for left in ("0-0", "0-1", "0-2", "1-0", "1-1", "1-2", "2-0"):
+        echo(client, endpoint, left)
+    assert client.map(inner, range(4)) == want
+    assert sorted(backend.calls) == sorted(x for row in want for x in row)
+    assert backend.peak[""] <= 2
+    # cold: outer and nested pools share the one budget
+    cold = EchoBackend()
+    client = JudgeClient(cold)
+    assert client.map(inner, range(4)) == want
+    assert len(cold.calls) == 12
+    assert cold.peak[""] <= 2
+
+
+def test_concurrent_maps_share_one_budget():
+    # eight maps at once, each first to ask for the budget in its own
+    # thread: a second semaphore for one endpoint would break the bound
+    backend = EchoBackend(delay=0.002)
+    endpoint = EndpointConfig(max_concurrency=3)
+    client = JudgeClient(backend)
+    names = "abcdefgh"
+    results = {}
+
+    def run(name):
+        results[name] = client.map(
+            lambda i: echo(client, endpoint, f"{name}{i}"), range(10)
+        )
+
+    threads = [threading.Thread(target=run, args=(name,)) for name in names]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {n: [f"{n}{i}" for i in range(10)] for n in names}
+    assert len(backend.calls) == 80
+    assert backend.peak[""] <= 3
+
+
+def test_chain_over_two_endpoints_keeps_both_budgets():
+    # corrupt -> verify style: each item calls a wide endpoint, then a
+    # narrow one; the pool is as wide as the first miss's budget (3)
+    backend = EchoBackend()
+    wide = EndpointConfig(base_url="http://wide", max_concurrency=3)
+    narrow = EndpointConfig(base_url="http://narrow", max_concurrency=1)
+    client = JudgeClient(backend)
+
+    def chain(i):
+        return echo(client, narrow, echo(client, wide, str(i)) + "v")
+
+    assert client.map(chain, range(24)) == [f"{i}v" for i in range(24)]
+    assert len(backend.calls) == 48
+    assert backend.peak["http://wide"] <= 3
+    assert backend.peak["http://narrow"] == 1
+
+
+def test_cached_map_starts_no_thread_and_takes_no_slot(tmp_path, monkeypatch):
+    holding, release, timed_out = (threading.Event() for _ in range(3))
+
+    class Blocking(EchoBackend):
+        def complete(self, endpoint, template, bindings, *texts):
+            if bindings["left_text"] == "block":
+                holding.set()
+                if not release.wait(5):
+                    timed_out.set()  # before the slot is given back
+            return super().complete(endpoint, template, bindings, *texts)
+
+    endpoint = EndpointConfig(max_concurrency=1)
+    client = JudgeClient(Blocking(), cache_dir=tmp_path)
+    want = [str(i) for i in range(6)]
+    assert client.map(lambda i: echo(client, endpoint, str(i)), range(6)) == want
+    # a backend call holds the endpoint's only slot until released
+    holder = threading.Thread(target=echo, args=(client, endpoint, "block"))
+    holder.start()
+    try:
+        assert holding.wait(10)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a cached map started a thread pool")
+
+        monkeypatch.setattr(judge_module, "ThreadPoolExecutor", no_pool)
+        nested = client.map(
+            lambda i: client.map(lambda j: echo(client, endpoint, str(j)), range(i)),
+            range(6),
+        )
+        assert nested == [want[:i] for i in range(6)]
+        assert client.map(lambda i: echo(client, endpoint, str(i)), range(6)) == want
+        assert not timed_out.is_set()  # the cached maps never waited for it
+    finally:
+        release.set()
+        holder.join(timeout=10)
+    assert not holder.is_alive()
 
 
 def test_embed_caches_per_text(tmp_path):
@@ -677,7 +810,8 @@ def test_segment_index_under_thread_contention(tmp_path):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = JudgeClient.map(8, lambda b: client.embed(ENDPOINT, b), batches)
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda b: client.embed(ENDPOINT, b), batches))
     finally:
         sys.setswitchinterval(interval)
     for batch, vectors in zip(batches, got):
@@ -707,6 +841,24 @@ def test_torn_segment_is_a_miss_and_is_rewritten(tmp_path, caplog, torn):
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
     assert list(tmp_path.iterdir()) == [segment]
     assert segment.read_bytes() == whole
+
+
+def test_torn_completion_is_a_miss_and_warns_once(tmp_path, caplog):
+    backend = ScriptedBackend([GOOD, GOOD])
+    JudgeClient(backend, cache_dir=tmp_path).complete(ENDPOINT, PAIR_MATCH, bindings())
+    (entry,) = tmp_path.iterdir()
+    whole = entry.read_bytes()
+    entry.write_bytes(whole[: len(whole) // 2])
+
+    # map() reads the entry twice: cache-only on the calling thread, then
+    # again when the miss sends the item to the backend
+    client = JudgeClient(backend, cache_dir=tmp_path)
+    with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):
+        (response,) = client.map_complete(ENDPOINT, PAIR_MATCH, [bindings()])
+    assert caplog.text.count(f"unreadable entry {entry.name}") == 1
+    assert not response.cache_hit and len(backend.calls) == 2
+    assert list(tmp_path.iterdir()) == [entry]
+    assert entry.read_bytes() == whole
 
 
 # ---- cosine ----
