@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import string
+import sys
 import threading
 import time
 from collections import deque
@@ -560,22 +561,37 @@ def _extract_json(raw: str) -> Any:
     raise json.JSONDecodeError("no JSON value found", raw, 0)
 
 
+class _Budget:
+    """One endpoint's concurrency budget: max_concurrency slots, and
+    whether the last backend call that held one waited."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.slots = threading.BoundedSemaphore(size)
+        # Until a call shows otherwise, the endpoint counts as one whose
+        # calls wait, so a live endpoint's first fan-out starts wide.
+        self.waits = True
+
+
 class _Miss(BaseException):
     """Raised in cache-only mode by the first call that would reach the
-    backend, carrying the size of that endpoint's budget.
+    backend, carrying that endpoint's budget.
 
     A BaseException, so that no `except Exception` in a mapped function
     can swallow it.
     """
 
-    def __init__(self, budget: int):
-        super().__init__(budget)
+    def __init__(self, budget: _Budget):
+        super().__init__(budget.size)
         self.budget = budget
 
 
 class _Mode(threading.local):
     # While set, a call that would reach the backend raises _Miss.
     cache_only = False
+    # The budget of the first backend call that waited since map() last
+    # cleared this.
+    waited: _Budget | None = None
 
 
 class JudgeClient:
@@ -584,7 +600,10 @@ class JudgeClient:
     One repair re-prompt is attempted on schema violations; a second
     failure raises JudgeFormatError carrying the raw text. Backend calls
     hold a slot of their endpoint's budget, one BoundedSemaphore of
-    max_concurrency slots per (base_url, max_concurrency).
+    max_concurrency slots per (base_url, max_concurrency). A call waited
+    if it spent at least the interpreter's switch interval
+    (sys.getswitchinterval(), 5 ms by default) off this thread's CPU
+    time: only then can other threads use the time.
     """
 
     def __init__(self, backend: Backend, cache_dir: str | Path | None = None):
@@ -597,25 +616,34 @@ class JudgeClient:
         # Embedding key -> (segment, byte offset of its row, dim), built
         # from the segments' header lines by the first embed().
         self._segments: dict[str, tuple[Path, int, int]] | None = None
-        self._budgets: dict[tuple[str, int], threading.BoundedSemaphore] = {}
+        self._budgets: dict[tuple[str, int], _Budget] = {}
         self._budgets_lock = threading.Lock()
         self._mode = _Mode()
 
+    def _budget(self, endpoint: EndpointConfig) -> _Budget:
+        key = (endpoint.base_url, endpoint.max_concurrency)
+        budget = self._budgets.get(key)
+        if budget is None:
+            with self._budgets_lock:
+                budget = self._budgets.setdefault(
+                    key, _Budget(endpoint.max_concurrency)
+                )
+        return budget
+
     @contextlib.contextmanager
     def _backend_slot(self, endpoint: EndpointConfig) -> Iterator[None]:
-        """Hold one slot of endpoint's budget; in cache-only mode, raise
-        _Miss instead."""
+        """Hold one slot of endpoint's budget and note whether the call
+        waited; in cache-only mode, raise _Miss instead."""
+        budget = self._budget(endpoint)
         if self._mode.cache_only:
-            raise _Miss(endpoint.max_concurrency)
-        key = (endpoint.base_url, endpoint.max_concurrency)
-        with self._budgets_lock:
-            if key not in self._budgets:
-                self._budgets[key] = threading.BoundedSemaphore(
-                    endpoint.max_concurrency
-                )
-            budget = self._budgets[key]
-        with budget:
+            raise _Miss(budget)
+        with budget.slots:
+            wall, cpu = time.perf_counter(), time.thread_time()
             yield
+            off_cpu = time.perf_counter() - wall - (time.thread_time() - cpu)
+        budget.waits = off_cpu >= sys.getswitchinterval()
+        if budget.waits and self._mode.waited is None:
+            self._mode.waited = budget
 
     # -- cache ---------------------------------------------------------
 
@@ -748,16 +776,20 @@ class JudgeClient:
 
         Items run one after another on the calling thread in cache-only
         mode, so cache hits start no thread and take no slot. The first
-        item that would reach the backend stops that pass; it and every
-        item after it run again on a thread pool of its own, as wide as
-        that endpoint's budget (max_concurrency) and never wider than
-        the items left (width 1 runs them on the calling thread). Every
-        backend call, in any map of this client, holds a slot of its
-        endpoint's budget, and nothing holds a slot while it waits, so
-        nested and concurrent maps can neither deadlock nor exceed a
-        limit. A map nested in an item that runs cache-only passes the
-        miss up to the outer map. The item that missed runs again from
-        its start, so fn should have no effect but its judge calls.
+        item that would reach the backend stops that pass and runs again
+        from its start; fn should have no effect but its judge calls.
+        Items then stay on the calling thread while backend calls return
+        without waiting: with nothing to overlap, more threads would only
+        contend for the GIL. Once that endpoint's last call waited (an
+        endpoint with no call yet counts as waiting), or a call in the
+        item just run did, the rest go to a thread pool of its own, as
+        wide as the budget (max_concurrency) of the first call that
+        waited and never wider than the items left (width 1 keeps them
+        on the calling thread). Every backend call, in any map of
+        this client, holds a slot of its endpoint's budget, and nothing
+        holds a slot while it waits, so nested and concurrent maps can
+        neither deadlock nor exceed a limit. A map nested in an item
+        that runs cache-only passes the miss up to the outer map.
 
         Results come back in input order; the failure of the earliest
         failing item propagates and items not yet started are cancelled.
@@ -773,13 +805,17 @@ class JudgeClient:
         except _Miss as miss:
             if outer:
                 raise
-            width = min(miss.budget, len(items) - len(done))
+            waited = miss.budget if miss.budget.waits else None
         finally:
             mode.cache_only = outer
+        while waited is None and len(done) < len(items):
+            mode.waited = None
+            done.append(fn(items[len(done)]))
+            waited = mode.waited
         rest = items[len(done) :]
-        if width == 1:
+        if len(rest) <= 1 or waited.size == 1:
             return done + [fn(item) for item in rest]
-        pool = ThreadPoolExecutor(max_workers=width)
+        pool = ThreadPoolExecutor(max_workers=min(waited.size, len(rest)))
         try:
             futures = [pool.submit(fn, item) for item in rest]
             return done + [f.result() for f in futures]

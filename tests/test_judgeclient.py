@@ -528,7 +528,7 @@ class EchoBackend:
     """pair_match replies that echo left_text; tracks backend calls in
     flight per endpoint (keyed by base_url)."""
 
-    def __init__(self, delay=0.005, barrier=None):
+    def __init__(self, delay=0.01, barrier=None):
         self.delay = delay
         self.barrier = barrier  # the first barrier.parties calls wait on it
         self.calls = []
@@ -572,6 +572,41 @@ def test_map_keeps_order_and_bounds_in_flight(tmp_path):
     assert sorted(backend.calls, key=int) == [str(i) for i in range(30)]
     assert backend.peak[""] == 3
     assert client.map(lambda i: echo(client, endpoint, str(i)), []) == []
+
+
+def test_map_stays_on_the_calling_thread_until_a_call_waits(monkeypatch):
+    pools = []
+    real_pool = judge_module.ThreadPoolExecutor
+
+    def counting_pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(judge_module, "ThreadPoolExecutor", counting_pool)
+    backend = EchoBackend(delay=0)
+    endpoint = EndpointConfig(max_concurrency=4)
+    client = JudgeClient(backend)
+
+    def run(items):
+        return client.map(lambda i: echo(client, endpoint, str(i)), items)
+
+    # a new endpoint counts as one whose calls wait: a pool four wide
+    assert run(range(8)) == [str(i) for i in range(8)]
+    assert pools == [4]
+    # a call alone on this thread returns at once; from then on every
+    # miss runs on the calling thread
+    echo(client, endpoint, "alone")
+    backend.peak.clear()
+    assert run(range(8, 16)) == [str(i) for i in range(8, 16)]
+    assert pools == [4] and backend.peak[""] == 1
+    # item 16's call waits, so items 17-23 go to a pool four wide
+    backend.delay = 0.02
+    first = len(backend.calls)
+    assert run(range(16, 24)) == [str(i) for i in range(16, 24)]
+    assert pools == [4, 4] and backend.calls[first] == "16"
+    # the endpoint's last call waited: the next miss goes to the pool
+    assert run(range(24, 32)) == [str(i) for i in range(24, 32)]
+    assert pools == [4, 4, 4] and backend.peak[""] <= 4
 
 
 def test_map_propagates_earliest_failure_and_cancels_the_rest(tmp_path):
@@ -651,7 +686,8 @@ def test_concurrent_maps_share_one_budget():
 
 def test_chain_over_two_endpoints_keeps_both_budgets():
     # corrupt -> verify style: each item calls a wide endpoint, then a
-    # narrow one; the pool is as wide as the first miss's budget (3)
+    # narrow one; both wait, and the pool is as wide as the budget of the
+    # first call that waited (3)
     backend = EchoBackend()
     wide = EndpointConfig(base_url="http://wide", max_concurrency=3)
     narrow = EndpointConfig(base_url="http://narrow", max_concurrency=1)
