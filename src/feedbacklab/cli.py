@@ -441,23 +441,18 @@ def cmd_consensus_eval(ctx: RunContext) -> EvalReport:
     match_endpoint = config.endpoint("pair_match")
     embedding_endpoint = config.endpoint("embedding")
 
-    per_paper_rows = []
-    papers_data: list[cons.PaperMatchData] = []
-    edge_dump: list[dict[str, Any]] = []
-    consensus_detail: dict[str, Any] = {}
-    excluded: list[str] = []
-    for paper in papers:
-        model_units = model_by_paper.get(paper.paper_id, [])
-        if not model_units:
-            excluded.append(paper.paper_id)
-            ctx.log("skip_paper", paper_id=paper.paper_id, reason="no model feedback")
-            continue
-        human_units = [u for u in paper.units if u.source is Source.HUMAN]
-        units_by_id = {u.id: u for u in human_units}
-        human_emb = client.embed(
-            embedding_endpoint, [u.text for u in human_units]
-        )
-        hh_edges = cons.prefilter_pairs(
+    # Candidates and embeddings stay per paper: one embed call over every
+    # paper would hold all of their vectors at once. Each kind of edge is
+    # judged in one fan-out over all papers.
+    scored = [p for p in papers if p.paper_id in model_by_paper]
+    human_of = {
+        p.paper_id: [u for u in p.units if u.source is Source.HUMAN] for p in scored
+    }
+
+    def human_edges(paper: PaperRecord) -> cons.EdgeBatch:
+        human_units = human_of[paper.paper_id]
+        human_emb = client.embed(embedding_endpoint, [u.text for u in human_units])
+        edges = cons.prefilter_pairs(
             human_units,
             human_units,
             human_emb,
@@ -465,27 +460,39 @@ def cmd_consensus_eval(ctx: RunContext) -> EvalReport:
             config.thresholds.human_human,
             cons.HUMAN_HUMAN,
         )
-        hh_judged = cons.judge_edges(
-            client, match_endpoint, hh_edges, units_by_id, paper.abstract
+        return edges, {u.id: u for u in human_units}, paper.abstract
+
+    hh_judged = dict(
+        zip(
+            human_of,
+            cons.judge_edges(
+                client, match_endpoint, [human_edges(p) for p in scored]
+            ),
         )
+    )
+    consensus_of: dict[str, cons.ConsensusSet] = {}
+    for paper in scored:
         consensus = cons.build_consensus(
             paper.paper_id,
-            human_units,
-            hh_judged,
+            human_of[paper.paper_id],
+            hh_judged[paper.paper_id],
             require_partner_success=config.flags.require_partner_success,
         )
-        edge_dump.extend(e.to_dict() for e in hh_judged)
-        if not consensus.members:
-            excluded.append(paper.paper_id)
-            ctx.log("skip_paper", paper_id=paper.paper_id, reason="no consensus")
-            continue
-        row_of = {u.id: i for i, u in enumerate(human_units)}
-        members = [units_by_id[m] for m in sorted(consensus.members)]
-        member_emb = [human_emb[row_of[u.id]] for u in members]
+        if consensus.members:
+            consensus_of[paper.paper_id] = consensus
+
+    def model_edges(paper: PaperRecord) -> cons.EdgeBatch:
+        units_by_id = {u.id: u for u in human_of[paper.paper_id]}
+        members = [
+            units_by_id[m] for m in sorted(consensus_of[paper.paper_id].members)
+        ]
+        # Cache hits: the members were embedded with their paper's units.
+        member_emb = client.embed(embedding_endpoint, [u.text for u in members])
+        model_units = model_by_paper[paper.paper_id]
         model_emb = client.embed(
             embedding_endpoint, [u.text for u in model_units]
         )
-        hm_edges = cons.prefilter_pairs(
+        edges = cons.prefilter_pairs(
             members,
             model_units,
             member_emb,
@@ -493,18 +500,46 @@ def cmd_consensus_eval(ctx: RunContext) -> EvalReport:
             config.thresholds.human_model,
             cons.HUMAN_MODEL,
         )
-        all_units = {**units_by_id, **{u.id: u for u in model_units}}
-        hm_judged = cons.judge_edges(
-            client, match_endpoint, hm_edges, all_units, paper.abstract
+        return edges, {**units_by_id, **{u.id: u for u in model_units}}, paper.abstract
+
+    hm_judged = dict(
+        zip(
+            consensus_of,
+            cons.judge_edges(
+                client,
+                match_endpoint,
+                [model_edges(p) for p in scored if p.paper_id in consensus_of],
+            ),
         )
-        edge_dump.extend(e.to_dict() for e in hm_judged)
+    )
+
+    per_paper_rows = []
+    papers_data: list[cons.PaperMatchData] = []
+    edge_dump: list[dict[str, Any]] = []
+    consensus_detail: dict[str, Any] = {}
+    excluded: list[str] = []
+    for paper in papers:
+        if paper.paper_id not in hh_judged:
+            excluded.append(paper.paper_id)
+            ctx.log("skip_paper", paper_id=paper.paper_id, reason="no model feedback")
+            continue
+        hh_edges = hh_judged.pop(paper.paper_id)
+        edge_dump.extend(e.to_dict() for e in hh_edges)
+        if paper.paper_id not in consensus_of:
+            excluded.append(paper.paper_id)
+            ctx.log("skip_paper", paper_id=paper.paper_id, reason="no consensus")
+            continue
+        consensus = consensus_of[paper.paper_id]
+        model_units = model_by_paper[paper.paper_id]
+        hm_edges = hm_judged.pop(paper.paper_id)
+        edge_dump.extend(e.to_dict() for e in hm_edges)
         clusters = (
-            cons.consensus_clusters(consensus, hh_judged)
+            cons.consensus_clusters(consensus, hh_edges)
             if config.flags.cluster_level
             else None
         )
         score = cons.score_model(
-            consensus, model_units, hm_judged, clusters=clusters
+            consensus, model_units, hm_edges, clusters=clusters
         )
         per_paper_rows.append(
             (
@@ -520,7 +555,7 @@ def cmd_consensus_eval(ctx: RunContext) -> EvalReport:
         )
         papers_data.append(
             cons.paper_match_data(
-                consensus, [u.id for u in model_units], hm_judged
+                consensus, [u.id for u in model_units], hm_edges
             )
         )
         consensus_detail[paper.paper_id] = {
@@ -599,6 +634,9 @@ def cmd_success_eval(ctx: RunContext) -> EvalReport:
     )
     quality_endpoint = config.endpoint("quality_score")
     predictor_endpoint = config.endpoint("response_predict")
+    for paper in papers:
+        if paper.paper_id not in model_by_paper:
+            ctx.log("skip_paper", paper_id=paper.paper_id, reason="no model feedback")
     jobs = [
         (paper, unit)
         for paper in papers

@@ -248,31 +248,39 @@ def prefilter_pairs(
     return edges
 
 
+# One batch of edges to judge: the edges, their units by id, and the
+# abstract of the paper they come from.
+EdgeBatch = tuple[Sequence[MatchEdge], Mapping[str, FeedbackUnit], str]
+
+
 def judge_edges(
     client: JudgeClient,
     endpoint: EndpointConfig,
-    edges: Sequence[MatchEdge],
-    units_by_id: Mapping[str, FeedbackUnit],
-    abstract: str,
-) -> list[MatchEdge]:
-    """Judge a batch of edges concurrently, preserving order."""
+    batches: Sequence[EdgeBatch],
+) -> list[list[MatchEdge]]:
+    """Judge the edges of every batch in one fan-out.
+
+    Returns each batch's judged edges, batches and edges in input order.
+    Unit ids need only be unique within a batch.
+    """
     bindings = [
         {
             "abstract": abstract,
             "left_text": units_by_id[e.left_unit_id].text,
             "right_text": units_by_id[e.right_unit_id].text,
         }
+        for edges, units_by_id, abstract in batches
         for e in edges
     ]
-    responses = client.map_complete(endpoint, PAIR_MATCH, bindings)
-    return [
-        replace(
-            edge,
-            judged=r.parsed["match"] == "1",
-            explanation=r.parsed["explanation"],
+    responses = iter(client.map_complete(endpoint, PAIR_MATCH, bindings))
+
+    def judged(edge: MatchEdge) -> MatchEdge:
+        parsed = next(responses).parsed
+        return replace(
+            edge, judged=parsed["match"] == "1", explanation=parsed["explanation"]
         )
-        for edge, r in zip(edges, responses)
-    ]
+
+    return [[judged(edge) for edge in edges] for edges, _, _ in batches]
 
 
 def build_consensus(

@@ -21,7 +21,16 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence, TypeVar
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Protocol,
+    Sequence,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -40,6 +49,9 @@ BACKOFF_BASE_SECONDS = 0.5
 MAX_EMBED_BATCH = 256
 # Embedding segments hold raw little-endian float64 rows after the header.
 SEGMENT_DTYPE = np.dtype("<f8")
+# A top-level map() writes its new completion records in segments that it
+# cuts at item boundaries once this many records have gathered.
+SEGMENT_RECORDS = 32
 
 
 @dataclass(frozen=True)
@@ -592,6 +604,40 @@ class _Mode(threading.local):
     # The budget of the first backend call that waited since map() last
     # cleared this.
     waited: _Budget | None = None
+    # The top-level map this thread runs an item of, and that item's new
+    # completion records, (key, record) in the order its calls made them;
+    # both None outside any map.
+    batch: _Batch | None = None
+    records: list[tuple[str, bytes]] | None = None
+
+
+class _Batch:
+    """The new completion records of one top-level map().
+
+    A record fetched by an item waits in `pending`, where the map's other
+    items find it, until its segment is written. add() takes each item's
+    records in input order and keeps each key once, at its first item, so
+    the segments do not depend on which thread fetched what.
+    """
+
+    def __init__(self, write: Callable[[list[tuple[str, bytes]], dict], None]):
+        self.pending: dict[str, bytes] = {}
+        self._write = write
+        self._seen: set[str] = set()
+        self._segment: list[tuple[str, bytes]] = []
+
+    def add(self, records: Sequence[tuple[str, bytes]]) -> None:
+        for key, record in records:
+            if key not in self._seen:
+                self._seen.add(key)
+                self._segment.append((key, record))
+        if len(self._segment) >= SEGMENT_RECORDS:
+            self.flush()
+
+    def flush(self) -> None:
+        if self._segment:
+            self._write(self._segment, self.pending)
+            self._segment = []
 
 
 class JudgeClient:
@@ -611,11 +657,14 @@ class JudgeClient:
         self.cache_dir = Path(cache_dir) if cache_dir else None
         if self.cache_dir:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-        # Guards cache writes and the segment index only.
+        # Guards cache writes, the segment index and the pending records
+        # of map batches.
         self._lock = threading.Lock()
-        # Embedding key -> (segment, byte offset of its row, dim), built
-        # from the segments' header lines by the first embed().
+        # Cache key -> (segment, byte offset of its record, byte length),
+        # built from the segments' header lines by the first lookup.
         self._segments: dict[str, tuple[Path, int, int]] | None = None
+        # Keys of the per-call <key>.json entries of earlier versions.
+        self._legacy: set[str] = set()
         self._budgets: dict[tuple[str, int], _Budget] = {}
         self._budgets_lock = threading.Lock()
         self._mode = _Mode()
@@ -646,6 +695,17 @@ class JudgeClient:
             self._mode.waited = budget
 
     # -- cache ---------------------------------------------------------
+    #
+    # The cache directory holds content-addressed segments,
+    # <kind>-<sha256 of their keys>.bin: a canonical-JSON header line that
+    # names the keys and the byte length of each record, then the records
+    # back to back. Embedding segments (emb-, one per embed() call that
+    # missed) have the header {"dim": d, "keys": [...]} and one raw
+    # SEGMENT_DTYPE row of d values per key, so vectors round-trip bit for
+    # bit. Completion segments (cmp-, written by map() and complete()) have
+    # {"keys": [...], "sizes": [...]}; a record is the reply's usage as one
+    # canonical-JSON line, then the reply's UTF-8 bytes. Only the headers
+    # are kept in memory; records are read from disk on each hit.
 
     def _cache_key(
         self,
@@ -666,20 +726,149 @@ class JudgeClient:
         )
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
-    def _cache_read(self, key: str) -> dict | None:
+    def _segment_index(self) -> dict[str, tuple[Path, int, int]]:
+        """The key -> (segment, offset, length) index; hold self._lock."""
+        if self._segments is None:
+            self._segments = {}
+            if self.cache_dir:
+                for path in sorted(self.cache_dir.iterdir()):
+                    if path.suffix == ".bin":
+                        self._index_segment(path)
+                    elif path.suffix == ".json":
+                        self._legacy.add(path.stem)
+        return self._segments
+
+    def _index_segment(self, path: Path) -> None:
+        try:
+            with open(path, "rb") as fh:
+                line = fh.readline()
+                size = os.fstat(fh.fileno()).st_size
+            header = json.loads(line)
+            keys = header["keys"]
+            if "sizes" in header:
+                sizes = header["sizes"]
+            else:
+                sizes = [header["dim"] * SEGMENT_DTYPE.itemsize] * len(keys)
+            intact = (
+                line.endswith(b"\n")
+                and isinstance(keys, list)
+                and all(isinstance(k, str) for k in keys)
+                and isinstance(sizes, list)
+                and len(sizes) == len(keys)
+                and all(type(n) is int and n > 0 for n in sizes)
+                and size == len(line) + sum(sizes)
+            )
+        except (KeyError, TypeError, ValueError):
+            intact = False
+        if not intact:
+            # A torn segment (say, from a killed run) is a miss for all
+            # its keys; the call that misses them rewrites it.
+            logger.warning(
+                "judge cache: unreadable entry %s, treated as a miss", path.name
+            )
+            return
+        self._index_records(path, len(line), keys, sizes)
+
+    def _index_records(
+        self, path: Path, offset: int, keys: Sequence[str], sizes: Iterable[int]
+    ) -> None:
+        for key, size in zip(keys, sizes):
+            self._segments[key] = (path, offset, size)
+            offset += size
+
+    @staticmethod
+    def _read_records(
+        found: Mapping[str, tuple[Path, int, int]]
+    ) -> dict[str, bytes]:
+        """Cached records by key, with one read per segment touched."""
+        by_segment: dict[Path, list[tuple[str, int, int]]] = {}
+        for key, (path, offset, size) in found.items():
+            by_segment.setdefault(path, []).append((key, offset, size))
+        records: dict[str, bytes] = {}
+        for path, spans in by_segment.items():
+            start = min(offset for _, offset, _ in spans)
+            end = max(offset + size for _, offset, size in spans)
+            with open(path, "rb") as fh:
+                fh.seek(start)
+                data = fh.read(end - start)
+            for key, offset, size in spans:
+                records[key] = data[offset - start : offset - start + size]
+        return records
+
+    def _write_segment(
+        self,
+        kind: str,
+        fields: Mapping[str, Any],
+        records: Sequence[tuple[str, bytes]],
+        pending: dict[str, bytes] | None = None,
+    ) -> None:
+        """Write (key, record) pairs as one segment (a tmp file, then a
+        rename) and index them; the written keys leave `pending`."""
+        if not self.cache_dir:
+            return
+        keys = [key for key, _ in records]
+        header = (canonical_json({**fields, "keys": keys}) + "\n").encode()
+        name = hashlib.sha256("".join(keys).encode("ascii")).hexdigest()
+        path = self.cache_dir / f"{kind}-{name}.bin"
+        with self._lock:
+            tmp = path.with_suffix(".tmp")
+            with open(tmp, "wb") as fh:
+                fh.write(header)
+                fh.writelines(record for _, record in records)
+            tmp.replace(path)
+            self._segment_index()
+            self._index_records(
+                path, len(header), keys, (len(record) for _, record in records)
+            )
+            if pending is not None:
+                for key in keys:
+                    pending.pop(key, None)
+
+    def _write_completions(
+        self,
+        records: Sequence[tuple[str, bytes]],
+        pending: dict[str, bytes] | None = None,
+    ) -> None:
+        sizes = [len(record) for _, record in records]
+        self._write_segment("cmp", {"sizes": sizes}, records, pending)
+
+    def _cache_read(self, key: str) -> tuple[str, Any] | None:
+        """(reply, usage) cached under a completion key, or None."""
         if not self.cache_dir:
             return None
-        path = self.cache_dir / f"{key}.json"
-        if not path.exists():
+        mode = self._mode
+        with self._lock:
+            found = self._segment_index().get(key)
+            pending = None
+            if found is None and mode.batch is not None:
+                pending = mode.batch.pending.get(key)
+        if found is not None:
+            record = self._read_records({key: found})[key]
+        elif pending is not None:
+            # Fetched by another item of this map: this item names it too,
+            # and the map writes it at the first item that does.
+            record = pending
+            mode.records.append((key, record))
+        elif key in self._legacy:
+            return self._read_legacy(key)
+        else:
             return None
+        usage, _, raw = record.partition(b"\n")
+        return raw.decode("utf-8"), json.loads(usage)
+
+    def _read_legacy(self, key: str) -> tuple[str, Any] | None:
+        """A <key>.json entry of an earlier version: a hit, never rewritten,
+        so a run directory never pays for its calls again."""
+        path = self.cache_dir / f"{key}.json"
         try:
             with open(path, encoding="utf-8") as fh:
-                return json.load(fh)
-        except ValueError:
-            # A torn entry (say, from a killed run) is a miss; the fresh
-            # result overwrites it. A cache-only read stays silent: the
-            # miss sends the call back outside that mode, which reads the
-            # entry again and warns once.
+                entry = json.load(fh)
+            return entry["raw_text"], entry.get("usage", {})
+        except (KeyError, TypeError, ValueError):
+            # A torn entry is a miss, and the fresh result goes to a
+            # segment. A cache-only read stays silent: the miss sends the
+            # call back outside that mode, which reads the entry again and
+            # warns once.
             if not self._mode.cache_only:
                 logger.warning(
                     "judge cache: unreadable entry %s, treated as a miss",
@@ -687,14 +876,19 @@ class JudgeClient:
                 )
             return None
 
-    def _cache_write(self, key: str, record: dict) -> None:
+    def _cache_write(self, key: str, raw: str, usage: Mapping[str, Any]) -> None:
+        """Keep a fresh reply: with the current map item's records, or,
+        outside any map, as a one-record segment."""
         if not self.cache_dir:
             return
-        path = self.cache_dir / f"{key}.json"
+        record = canonical_json(usage).encode() + b"\n" + raw.encode("utf-8")
+        mode = self._mode
+        if mode.records is None:
+            self._write_completions([(key, record)])
+            return
         with self._lock:
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(canonical_json(record), encoding="utf-8")
-            tmp.replace(path)
+            mode.batch.pending.setdefault(key, record)
+        mode.records.append((key, record))
 
     # -- completion ----------------------------------------------------
 
@@ -718,10 +912,12 @@ class JudgeClient:
         key = self._cache_key(endpoint, template, system_text, user_text)
         cached = self._cache_read(key)
         if cached is not None:
+            raw, usage = cached
+            # The reply was validated before it was cached.
             return JudgeResponse(
-                raw_text=cached["raw_text"],
-                parsed=cached["parsed"],
-                usage=cached.get("usage", {}),
+                raw_text=raw,
+                parsed=_extract_json(raw),
+                usage=usage,
                 cache_hit=True,
                 template_name=template.name,
                 template_version=template.version,
@@ -760,7 +956,7 @@ class JudgeClient:
                     raw_text=raw,
                 ) from None
 
-        self._cache_write(key, {"parsed": parsed, "raw_text": raw, "usage": usage})
+        self._cache_write(key, raw, usage)
         return JudgeResponse(
             raw_text=raw,
             parsed=parsed,
@@ -793,34 +989,85 @@ class JudgeClient:
 
         Results come back in input order; the failure of the earliest
         failing item propagates and items not yet started are cancelled.
+
+        The new completion records of each item are taken in input order,
+        so the cache's bytes do not depend on the budget: a nested map's
+        belong to the item that encloses it, and a top-level map writes
+        them in segments cut at item boundaries once SEGMENT_RECORDS have
+        gathered (its last segment may hold fewer), each as soon as all
+        of its items have finished. When an item fails, the records of
+        the items before it and those it made itself are still written.
         """
         mode = self._mode
         outer = mode.cache_only
+        top = mode.batch is None
+        batch = _Batch(self._write_completions) if top else mode.batch
+        keep = batch.add if top else mode.records.extend
+        records: list[list[tuple[str, bytes]] | None] = [None] * len(items)
         done: list[R] = []
-        mode.cache_only = True
-        try:
-            for item in items:
-                done.append(fn(item))
-            return done
-        except _Miss as miss:
-            if outer:
+
+        def run(i: int) -> R:
+            records[i] = []
+            saved = mode.batch, mode.records
+            mode.batch, mode.records = batch, records[i]
+            try:
+                return fn(items[i])
+            finally:
+                mode.batch, mode.records = saved
+
+        def settle(i: int, outcome: Callable[[], R]) -> None:
+            """Item i's result, then its records; in input order."""
+            try:
+                done.append(outcome())
+            except _Miss:
                 raise
-            waited = miss.budget if miss.budget.waits else None
-        finally:
-            mode.cache_only = outer
-        while waited is None and len(done) < len(items):
-            mode.waited = None
-            done.append(fn(items[len(done)]))
-            waited = mode.waited
-        rest = items[len(done) :]
-        if len(rest) <= 1 or waited.size == 1:
-            return done + [fn(item) for item in rest]
-        pool = ThreadPoolExecutor(max_workers=min(waited.size, len(rest)))
+            except BaseException:
+                keep(records[i])
+                raise
+            keep(records[i])
+            records[i] = None
+
         try:
-            futures = [pool.submit(fn, item) for item in rest]
-            return done + [f.result() for f in futures]
+            mode.cache_only = True
+            try:
+                for i in range(len(items)):
+                    settle(i, functools.partial(run, i))
+                return done
+            except _Miss as miss:
+                if outer:
+                    raise
+                waited = miss.budget if miss.budget.waits else None
+            finally:
+                mode.cache_only = outer
+            while waited is None and len(done) < len(items):
+                mode.waited = None
+                settle(len(done), functools.partial(run, len(done)))
+                waited = mode.waited
+            start = len(done)
+            if len(items) - start <= 1 or waited.size == 1:
+                for i in range(start, len(items)):
+                    settle(i, functools.partial(run, i))
+                return done
+            pool = ThreadPoolExecutor(max_workers=min(waited.size, len(items) - start))
+            # Items are submitted at most `ahead` past the first unsettled
+            # one, so the records waiting to be taken stay bounded even
+            # when busy pool threads keep this one off the GIL.
+            ahead = max(SEGMENT_RECORDS, waited.size)
+            try:
+                futures = deque(
+                    pool.submit(run, i)
+                    for i in range(start, min(start + ahead, len(items)))
+                )
+                for i in range(start, len(items)):
+                    if i + ahead < len(items):
+                        futures.append(pool.submit(run, i + ahead))
+                    settle(i, futures.popleft().result)
+                return done
+            finally:
+                pool.shutdown(cancel_futures=True)
         finally:
-            pool.shutdown(cancel_futures=True)
+            if top:
+                batch.flush()
 
     def map_complete(
         self,
@@ -832,94 +1079,12 @@ class JudgeClient:
         return self.map(lambda b: self.complete(endpoint, template, b), bindings_list)
 
     # -- embeddings ----------------------------------------------------
-    #
-    # Each embed() call that misses writes one segment,
-    # cache/emb-<sha256 of its miss keys>.bin: a canonical-JSON header
-    # line {"dim": d, "keys": [...]}, then one raw SEGMENT_DTYPE row per
-    # key, so vectors round-trip bit for bit. Only the headers are kept
-    # in memory; rows are read from disk on each hit.
 
     def _embedding_cache_key(self, endpoint: EndpointConfig, text: str) -> str:
         material = canonical_json(
             {"kind": "embedding", "model": endpoint.model_name, "text": text}
         )
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-    def _segment_index(self) -> dict[str, tuple[Path, int, int]]:
-        """The key -> (segment, offset, dim) index; hold self._lock."""
-        if self._segments is None:
-            self._segments = {}
-            if self.cache_dir:
-                for path in sorted(self.cache_dir.glob("emb-*.bin")):
-                    self._index_segment(path)
-        return self._segments
-
-    def _index_segment(self, path: Path) -> None:
-        try:
-            with open(path, "rb") as fh:
-                line = fh.readline()
-                size = os.fstat(fh.fileno()).st_size
-            header = json.loads(line)
-            dim, keys = header["dim"], header["keys"]
-            intact = (
-                line.endswith(b"\n")
-                and type(dim) is int
-                and dim > 0
-                and isinstance(keys, list)
-                and all(isinstance(k, str) for k in keys)
-                and size == len(line) + len(keys) * dim * SEGMENT_DTYPE.itemsize
-            )
-        except (KeyError, TypeError, ValueError):
-            intact = False
-        if not intact:
-            # A torn segment (say, from a killed run) is a miss for all
-            # its keys; the call that misses them rewrites it.
-            logger.warning(
-                "judge cache: unreadable entry %s, treated as a miss", path.name
-            )
-            return
-        self._index_rows(path, len(line), dim, keys)
-
-    def _index_rows(
-        self, path: Path, header_len: int, dim: int, keys: Sequence[str]
-    ) -> None:
-        row_bytes = dim * SEGMENT_DTYPE.itemsize
-        for row, key in enumerate(keys):
-            self._segments[key] = (path, header_len + row * row_bytes, dim)
-
-    @staticmethod
-    def _read_rows(
-        found: Mapping[str, tuple[Path, int, int]]
-    ) -> dict[str, np.ndarray]:
-        """Cached vectors by key, with one read per segment touched."""
-        by_segment: dict[Path, list[tuple[str, int, int]]] = {}
-        for key, (path, offset, dim) in found.items():
-            by_segment.setdefault(path, []).append((key, offset, dim))
-        vectors: dict[str, np.ndarray] = {}
-        for path, rows in by_segment.items():
-            data = path.read_bytes()
-            for key, offset, dim in rows:
-                vectors[key] = np.frombuffer(
-                    data, SEGMENT_DTYPE, dim, offset
-                ).astype(float)
-        return vectors
-
-    def _write_segment(
-        self, keys: Sequence[str], rows: Sequence[np.ndarray]
-    ) -> None:
-        if not self.cache_dir:
-            return
-        dim = rows[0].shape[0]
-        header = (canonical_json({"dim": dim, "keys": list(keys)}) + "\n").encode()
-        name = hashlib.sha256("".join(keys).encode("ascii")).hexdigest()
-        path = self.cache_dir / f"emb-{name}.bin"
-        with self._lock:
-            tmp = path.with_suffix(".tmp")
-            with open(tmp, "wb") as fh:
-                fh.write(header)
-                fh.write(np.stack(rows).astype(SEGMENT_DTYPE).tobytes())
-            tmp.replace(path)
-            self._index_rows(path, len(header), dim, keys)
 
     def embed(
         self, endpoint: EndpointConfig, texts: Sequence[str]
@@ -936,7 +1101,10 @@ class JudgeClient:
         with self._lock:
             index = self._segment_index()
             found = {k: index[k] for k in keys if k in index}
-        vectors = self._read_rows(found)
+        vectors = {
+            key: np.frombuffer(record, SEGMENT_DTYPE).astype(float)
+            for key, record in self._read_records(found).items()
+        }
         text_of = {k: t for k, t in zip(keys, texts) if k not in vectors}
         misses = list(text_of)
         if misses:
@@ -950,5 +1118,9 @@ class JudgeClient:
         if len(dims) > 1:
             raise JudgeError(f"embedding dimension mismatch in batch: {dims}")
         if misses:
-            self._write_segment(misses, [vectors[k] for k in misses])
+            self._write_segment(
+                "emb",
+                {"dim": dims.pop()},
+                [(k, vectors[k].astype(SEGMENT_DTYPE).tobytes()) for k in misses],
+            )
         return [vectors[k] for k in keys]

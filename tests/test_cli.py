@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import os
 import re
 import shutil
@@ -28,6 +29,7 @@ from feedbacklab.core import (
 )
 from feedbacklab.errors import IngestError
 from feedbacklab.ingest import load_corpus, make_store, save_corpus
+from feedbacklab.judge import StubBackend
 
 FIXTURE = Path(feedbacklab.__file__).parent / "fixtures" / "consensus_demo"
 FIXTURE_CONFIG = str(FIXTURE / "config.json")
@@ -145,7 +147,12 @@ def test_rerun_is_byte_identical(tmp_path):
     assert snapshot(run_dir) == first
 
 
-def test_torn_cache_entry_is_a_miss_and_is_rewritten(tmp_path):
+def segment_keys(segment: Path) -> list[str]:
+    with open(segment, "rb") as fh:
+        return json.loads(fh.readline())["keys"]
+
+
+def test_torn_cache_entry_is_a_miss_and_is_rewritten(tmp_path, caplog, monkeypatch):
     args = [
         "consensus-eval",
         "--config",
@@ -156,12 +163,32 @@ def test_torn_cache_entry_is_a_miss_and_is_rewritten(tmp_path):
     assert main(args) == 0
     run_dir = only_run_dir(tmp_path)
     first = snapshot(run_dir)
-    entries = sorted((run_dir / "cache").glob("*.json"))
-    completion = next(p for p in entries if "raw_text" in p.read_text())
+    completion = min((run_dir / "cache").glob("cmp-*.bin"))
     embedding = min((run_dir / "cache").glob("emb-*.bin"))
-    for entry in (completion, embedding):
-        entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
-    assert main(args) == 0
+    torn = {segment: segment_keys(segment) for segment in (completion, embedding)}
+    for segment in torn:
+        segment.write_bytes(segment.read_bytes()[: segment.stat().st_size // 2])
+
+    completed, embedded = [], []
+    complete, embed = StubBackend.complete, StubBackend.embed
+
+    def counting_complete(self, endpoint, template, *rest):
+        completed.append(template.name)
+        return complete(self, endpoint, template, *rest)
+
+    def counting_embed(self, endpoint, texts):
+        embedded.extend(texts)
+        return embed(self, endpoint, texts)
+
+    monkeypatch.setattr(StubBackend, "complete", counting_complete)
+    monkeypatch.setattr(StubBackend, "embed", counting_embed)
+    with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):
+        assert main(args) == 0
+    # every record of a torn segment is a miss, and only those are
+    assert len(completed) == len(torn[completion])
+    assert len(embedded) == len(torn[embedding])
+    for segment in torn:
+        assert caplog.text.count(f"unreadable entry {segment.name}") == 1
     assert snapshot(run_dir) == first
 
 
@@ -634,7 +661,8 @@ def test_calibrate_command(tmp_path):
 
 
 def test_success_eval_command(tmp_path):
-    papers = [synth_paper("p1", [])]
+    # p0 and p2 have no model feedback
+    papers = [synth_paper(pid, []) for pid in ("p0", "p1", "p2")]
     write_corpus(tmp_path / "corpus", papers)
     model_units = [
         {"paper_id": "p1", "text": "good grounded point", "model_name": "m"},
@@ -696,6 +724,14 @@ def test_success_eval_command(tmp_path):
     assert rates["combined"][4] == "0.000"  # two units <= k: no width
     assert rates["validity_only"][0] == "0.500"
     assert report["metadata"]["units_scored"] == 2
+    assert report["metadata"]["papers_scored"] == 1
+    log = [
+        json.loads(line) for line in (run_dir / "log.jsonl").read_text().splitlines()
+    ]
+    assert log[1:] == [
+        {"event": "skip_paper", "paper_id": pid, "reason": "no model feedback"}
+        for pid in ("p0", "p2")
+    ] + [{"event": "success_eval", "papers": 1, "units": 2}]
 
 
 def assert_same_bytes_at_any_concurrency(tmp_path, command, cfg, *extra):

@@ -2,6 +2,9 @@ import itertools
 import json
 import logging
 import math
+import os
+import signal
+import subprocess
 import sys
 import tempfile
 import threading
@@ -9,11 +12,12 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feedbacklab import judge as judge_module
@@ -879,22 +883,295 @@ def test_torn_segment_is_a_miss_and_is_rewritten(tmp_path, caplog, torn):
     assert segment.read_bytes() == whole
 
 
-def test_torn_completion_is_a_miss_and_warns_once(tmp_path, caplog):
-    backend = ScriptedBackend([GOOD, GOOD])
-    JudgeClient(backend, cache_dir=tmp_path).complete(ENDPOINT, PAIR_MATCH, bindings())
-    (entry,) = tmp_path.iterdir()
-    whole = entry.read_bytes()
-    entry.write_bytes(whole[: len(whole) // 2])
+def segment_records(cache_dir):
+    """Keys of each completion segment, by file name."""
+    out = {}
+    for path in sorted(cache_dir.glob("cmp-*.bin")):
+        with open(path, "rb") as fh:
+            out[path.name] = json.loads(fh.readline())["keys"]
+    return out
 
-    # map() reads the entry twice: cache-only on the calling thread, then
-    # again when the miss sends the item to the backend
+
+def test_torn_completion_is_a_miss_and_warns_once(tmp_path, caplog):
+    pair = [bindings(left="a"), bindings(left="c")]
+    for torn in ("mid-header", "mid-record"):
+        cache_dir = tmp_path / torn
+        backend = ScriptedBackend([GOOD] * 4)
+        JudgeClient(backend, cache_dir=cache_dir).map_complete(
+            ENDPOINT, PAIR_MATCH, pair
+        )
+        (segment,) = cache_dir.iterdir()
+        assert segment.name.startswith("cmp-")
+        whole = segment.read_bytes()
+        header_len = whole.index(b"\n") + 1
+        cut = header_len // 2 if torn == "mid-header" else len(whole) - 3
+        segment.write_bytes(whole[:cut])
+
+        # map() looks each key up twice, cache-only on the calling thread
+        # and again when the miss sends the item to the backend; the
+        # segment's header is read once
+        client = JudgeClient(backend, cache_dir=cache_dir)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):
+            responses = client.map_complete(ENDPOINT, PAIR_MATCH, pair)
+        assert caplog.text.count(f"unreadable entry {segment.name}") == 1
+        # both of the segment's records missed
+        assert not any(r.cache_hit for r in responses) and len(backend.calls) == 4
+        assert list(cache_dir.iterdir()) == [segment]
+        assert segment.read_bytes() == whole
+
+
+def test_map_writes_segments_of_whole_items_in_input_order(tmp_path):
+    backend = EchoBackend(delay=0)
+    client = JudgeClient(backend, cache_dir=tmp_path)
+    endpoint = EndpointConfig(max_concurrency=4)
+    client.map(lambda i: echo(client, endpoint, f"flat {i}"), range(100))
+    sizes = [len(keys) for keys in segment_records(tmp_path).values()]
+    assert sorted(sizes) == [4, 32, 32, 32]
+
+    # Three records an item: a segment closes at the first item boundary
+    # past SEGMENT_RECORDS, so no item is split.
+    def triple(i):
+        return client.map(lambda j: echo(client, endpoint, f"{i}-{j}"), range(3))
+
+    before = set(segment_records(tmp_path))
+    client.map(triple, range(25))
+    new = {n: k for n, k in segment_records(tmp_path).items() if n not in before}
+    assert judge_module.SEGMENT_RECORDS == 32
+    assert sorted(len(keys) for keys in new.values()) == [9, 33, 33]
+    # a complete() outside any map writes a segment of its one record
+    echo(client, endpoint, "alone")
+    assert len(segment_records(tmp_path)) == 8
+
+    # records follow input order, the nested map's inside their item
+    expected = [cache_key(endpoint, f"{i}-{j}") for i in range(25) for j in range(3)]
+    ordered = sorted(new.values(), key=lambda keys: expected.index(keys[0]))
+    assert [key for keys in ordered for key in keys] == expected
+
+
+def test_pool_runs_a_bounded_number_of_items_ahead(tmp_path):
+    # Item 0's call outlasts many others: items past SEGMENT_RECORDS
+    # wait for it to be taken, so their records are not held meanwhile.
+    class SlowFirst(EchoBackend):
+        calls_before_first = None
+
+        def complete(self, endpoint, template, bindings, *texts):
+            if bindings["left_text"] == "0":
+                time.sleep(0.3)
+                self.calls_before_first = len(self.calls)
+            return super().complete(endpoint, template, bindings, *texts)
+
+    backend = SlowFirst(delay=0.01)
+    client = JudgeClient(backend, cache_dir=tmp_path)
+    endpoint = EndpointConfig(max_concurrency=4)
+    want = [str(i) for i in range(100)]
+    assert client.map(lambda i: echo(client, endpoint, str(i)), range(100)) == want
+    assert backend.calls_before_first <= judge_module.SEGMENT_RECORDS
+
+
+def cache_key(endpoint, left):
+    system_text, user_text = PAIR_MATCH.render(bindings(left=left))
+    return JudgeClient(StubBackend())._cache_key(
+        endpoint, PAIR_MATCH, system_text, user_text
+    )
+
+
+class TokenEcho(EchoBackend):
+    """EchoBackend whose usage varies with the binding; "a" takes three
+    times as long as the others."""
+
+    def complete(self, endpoint, template, bindings, *texts):
+        if bindings["left_text"] == "a":
+            time.sleep(2 * self.delay)
+        raw, _ = super().complete(endpoint, template, bindings, *texts)
+        usage = {"prompt_tokens": len(bindings["left_text"]), "completion_tokens": 1}
+        return raw, usage
+
+
+def reply(client, endpoint, left):
+    r = client.complete(endpoint, PAIR_MATCH, bindings(left=left))
+    return r.raw_text, r.parsed, dict(r.usage)
+
+
+def run_item(client, endpoint, item):
+    kind, arg = item
+    if kind == "nested":
+        return client.map(lambda left: reply(client, endpoint, left), arg)
+    if kind == "chain":  # one call after another, as in corrupt-then-verify
+        return [reply(client, endpoint, left) for left in arg]
+    out = reply(client, endpoint, arg)
+    if kind == "raise":
+        raise ValueError(f"item {arg} failed")
+    return out
+
+
+def run_maps(new_client, endpoint, maps):
+    """Each map's results, or its error; a new client where asked."""
+    client, outcomes = new_client(), []
+    for items, reopen in maps:
+        if reopen:
+            client = new_client()
+        try:
+            outcomes.append(
+                client.map(lambda item: run_item(client, endpoint, item), items)
+            )
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+LEFTS = st.sampled_from("abcdefg")
+MAP_ITEMS = st.lists(
+    st.tuples(st.just("call"), LEFTS)
+    | st.tuples(
+        st.sampled_from(["nested", "chain"]), st.lists(LEFTS, min_size=1, max_size=3)
+    )
+    | st.tuples(st.just("raise"), LEFTS),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(MAP_ITEMS, st.booleans()), min_size=1, max_size=4))
+# At width 4, item 2 fetches "b" while item 0 still waits on "a"; "b"
+# still belongs to item 0.
+@example([([("chain", ["a", "b"]), ("call", "c"), ("call", "b")], False)])
+def test_completion_segments_match_an_uncached_client(maps):
+    want = run_maps(lambda: JudgeClient(TokenEcho(delay=0)), ENDPOINT, maps)
+    written = {}
+    # Small segments, so that one map writes several and a key computed
+    # twice in a map can fall on either side of a cut. At width 4 a later
+    # item can fetch a key before an earlier chain item reaches it.
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        judge_module, "SEGMENT_RECORDS", 3
+    ):
+        for width in (1, 4):
+            cache_dir = Path(tmp) / str(width)
+            # calls wait, so every map with a miss goes to a pool at width 4
+            backend = TokenEcho(delay=0.006)
+            endpoint = EndpointConfig(max_concurrency=width)
+
+            def new_client():
+                return JudgeClient(backend, cache_dir=cache_dir)
+
+            assert run_maps(new_client, endpoint, maps) == want
+            keys = [k for ks in segment_records(cache_dir).values() for k in ks]
+            assert len(keys) == len(set(keys))  # each key written once
+
+            before, calls = cache_state(cache_dir), len(backend.calls)
+            reopened = [(items, True) for items, _ in maps]
+            assert run_maps(new_client, endpoint, reopened) == want
+            assert len(backend.calls) == calls  # only hits
+            assert cache_state(cache_dir) == before
+            written[width] = {name: data for name, (_, _, data) in before.items()}
+    assert written[1] == written[4]
+
+
+KILLED_MAP = """
+import os, signal, sys
+from feedbacklab.judge import EndpointConfig, JudgeClient, StubBackend
+from feedbacklab.prompts import PAIR_MATCH
+
+kill_at, cache_dir, width = int(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+calls = []
+
+class Dying(StubBackend):
+    def complete(self, *args):
+        calls.append(1)
+        if len(calls) == kill_at:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().complete(*args)
+
+reply = {"match": "1", "explanation": "x"}
+backend = Dying({"templates": {"pair_match": {"default": reply}}})
+items = [
+    {"abstract": "A", "left_text": f"left {i}", "right_text": "r"} for i in range(100)
+]
+endpoint = EndpointConfig(max_concurrency=width)
+JudgeClient(backend, cache_dir=cache_dir).map_complete(endpoint, PAIR_MATCH, items)
+print(len(calls))
+"""
+
+
+def run_killed_map(kill_at, cache_dir, width):
+    paths = [str(Path(judge_module.__file__).parent.parent)]
+    paths += filter(None, [os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    return subprocess.run(
+        [sys.executable, "-c", KILLED_MAP, str(kill_at), str(cache_dir), str(width)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def file_bytes(cache_dir):
+    return {p.name: p.read_bytes() for p in sorted(cache_dir.iterdir())}
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_map_killed_mid_run_keeps_its_written_segments(tmp_path, width):
+    clean = run_killed_map(0, tmp_path / "clean", width)
+    assert clean.returncode == 0 and clean.stdout.strip() == "100"
+
+    cache_dir = tmp_path / "killed"
+    killed = run_killed_map(70, cache_dir, width)
+    assert killed.returncode == -signal.SIGKILL
+    survived = sum(map(len, segment_records(cache_dir).values()))
+    if width == 1:  # the items run in order on one thread
+        assert survived == 64
+
+    rerun = run_killed_map(0, cache_dir, width)
+    assert rerun.returncode == 0 and "Traceback" not in rerun.stderr
+    # every record of a segment written before the kill is a hit
+    assert int(rerun.stdout) == 100 - survived
+    assert file_bytes(cache_dir) == file_bytes(tmp_path / "clean")
+
+
+def test_legacy_completion_entries_are_hits_and_stay(tmp_path, caplog):
+    """Per-call <key>.json entries of earlier versions are read as hits
+    and never rewritten; a torn one is a miss whose reply goes to a
+    segment."""
+    lefts = ["a", "b", "c"]
+    for left in lefts:
+        raw = canonical_json({"match": "0", "explanation": f"legacy {left}"})
+        entry = {
+            "parsed": json.loads(raw),
+            "raw_text": raw,
+            "usage": {"prompt_tokens": 3},
+        }
+        path = tmp_path / f"{cache_key(ENDPOINT, left)}.json"
+        path.write_text(canonical_json(entry), encoding="utf-8")
+    torn = tmp_path / f"{cache_key(ENDPOINT, 'c')}.json"
+    torn.write_bytes(torn.read_bytes()[:20])
+    before = cache_state(tmp_path)
+
+    backend = ScriptedBackend([GOOD])
     client = JudgeClient(backend, cache_dir=tmp_path)
     with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):
-        (response,) = client.map_complete(ENDPOINT, PAIR_MATCH, [bindings()])
-    assert caplog.text.count(f"unreadable entry {entry.name}") == 1
-    assert not response.cache_hit and len(backend.calls) == 2
-    assert list(tmp_path.iterdir()) == [entry]
-    assert entry.read_bytes() == whole
+        out = client.map_complete(
+            ENDPOINT, PAIR_MATCH, [bindings(left=left) for left in lefts]
+        )
+    assert [r.parsed["explanation"] for r in out] == [
+        "legacy a",
+        "legacy b",
+        "same point",
+    ]
+    assert [r.cache_hit for r in out] == [True, True, False]
+    assert out[0].usage == {"prompt_tokens": 3}
+    assert len(backend.calls) == 1
+    assert caplog.text.count(f"unreadable entry {torn.name}") == 1
+    # the legacy entries stay as they were; the fresh reply is a segment
+    after = cache_state(tmp_path)
+    assert {n: v for n, v in after.items() if n in before} == before
+    assert list(segment_records(tmp_path).values()) == [[cache_key(ENDPOINT, "c")]]
+    again = JudgeClient(ScriptedBackend([]), cache_dir=tmp_path).map_complete(
+        ENDPOINT, PAIR_MATCH, [bindings(left=left) for left in lefts]
+    )
+    assert [r.raw_text for r in again] == [r.raw_text for r in out]
+    assert cache_state(tmp_path) == after
 
 
 # ---- cosine ----
