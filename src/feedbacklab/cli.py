@@ -4,6 +4,10 @@ Every command executes under a run directory keyed by the config hash
 (so re-running an unchanged stub config rewrites identical bytes), and
 renders its report in all three formats. Exit codes: 0 ok, 2 config
 error, 3 pipeline error, 4 judge-format error.
+
+The modules that compute with numpy (consensus, forge, parse's agreement
+statistics, successeval) are imported inside the commands that use
+them, so start-up, `ingest`, `parse` and `report` do without it.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from . import consensus as cons
-from . import forge, parse, successeval
 from .config import PipelineConfig, config_hash, load_config
 from .core import FeedbackUnit, PaperRecord, Source, canonical_json, make_unit_id
 from .errors import ConfigError, FeedbackLabError, IngestError, PipelineError
@@ -211,6 +213,8 @@ def cmd_ingest(ctx: RunContext) -> EvalReport:
 
 
 def cmd_parse(ctx: RunContext) -> EvalReport:
+    from . import parse
+
     store = _load_store(ctx)
     config = ctx.config
     client = ctx.client()
@@ -275,6 +279,8 @@ def cmd_parse(ctx: RunContext) -> EvalReport:
 
 
 def cmd_forge_sft(ctx: RunContext) -> EvalReport:
+    from . import forge
+
     store = _load_store(ctx)
     manifest = forge.build_sft(
         store, ctx.config.split, ctx.artifacts / "sft.jsonl"
@@ -298,6 +304,8 @@ def cmd_forge_sft(ctx: RunContext) -> EvalReport:
 
 
 def cmd_forge_dpo(ctx: RunContext) -> EvalReport:
+    from . import forge
+
     store = _load_store(ctx)
     config = ctx.config
     client = ctx.client()
@@ -328,6 +336,9 @@ def cmd_forge_dpo(ctx: RunContext) -> EvalReport:
         corruption_pairs_per_paper=config.sampling.corruption_pairs_per_paper,
         seed=config.sampling.seed,
         chosen_successful_only=config.flags.chosen_successful_only,
+        on_skip=lambda paper_id, reason: ctx.log(
+            "skip_paper", paper_id=paper_id, reason=reason
+        ),
     )
     manifest.write(ctx.artifacts / "dpo_manifest.json")
     ctx.write_jsonl(
@@ -374,6 +385,8 @@ def cmd_forge_dpo(ctx: RunContext) -> EvalReport:
 
 
 def cmd_calibrate(ctx: RunContext) -> EvalReport:
+    from . import consensus as cons
+
     config = ctx.config
     pairs_path = config.path("annotated_pairs")
     edges = [
@@ -431,6 +444,8 @@ def cmd_calibrate(ctx: RunContext) -> EvalReport:
 
 
 def cmd_consensus_eval(ctx: RunContext) -> EvalReport:
+    from . import consensus as cons
+
     store = _load_store(ctx)
     config = ctx.config
     client = ctx.client()
@@ -625,6 +640,8 @@ def cmd_consensus_eval(ctx: RunContext) -> EvalReport:
 
 
 def cmd_success_eval(ctx: RunContext) -> EvalReport:
+    from . import successeval
+
     store = _load_store(ctx)
     config = ctx.config
     client = ctx.client()

@@ -17,7 +17,6 @@ from typing import Any, Mapping, Sequence
 from .core import canonical_json
 from .errors import ConfigError
 from .judge import EndpointConfig
-from .successeval import QualityThresholds
 
 JUDGE_TASKS = (
     "thread_parse",
@@ -30,6 +29,37 @@ JUDGE_TASKS = (
 )
 
 MODES = ("stub", "live")
+
+FILTER_DIMENSIONS = (
+    "accuracy",
+    "paper_specific_grounding",
+    "constructive_tone",
+    "prioritisation",
+)
+
+
+@dataclass(frozen=True)
+class QualityThresholds:
+    """Minimum scores for the four filtering dimensions.
+
+    Defaults are the published mean judge scores over the human
+    reference feedback; actionability deliberately has no threshold.
+    """
+
+    accuracy: float = 4.37
+    paper_specific_grounding: float = 4.36
+    constructive_tone: float = 4.62
+    prioritisation: float = 4.44
+
+    def __post_init__(self) -> None:
+        for dim in FILTER_DIMENSIONS:
+            value = getattr(self, dim)
+            if not 1.0 <= value <= 5.0:
+                raise ConfigError(f"threshold {dim}={value} outside [1,5]")
+
+    def as_dict(self) -> dict[str, float]:
+        return {dim: getattr(self, dim) for dim in FILTER_DIMENSIONS}
+
 
 
 @dataclass(frozen=True)

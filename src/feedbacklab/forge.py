@@ -9,7 +9,6 @@ pairs under the success-delta and corruption-swap rules.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -22,8 +21,6 @@ from .ingest import DatasetStore
 from .judge import EndpointConfig, JudgeClient, similar_pairs
 from .prompts import CORRUPTION, CORRUPTION_DIMENSIONS, CORRUPTION_VERIFY
 from .stats import keyed_rng
-
-logger = logging.getLogger(__name__)
 
 DEDUP_THRESHOLD = 0.5
 SUCCESS_DELTA = 2
@@ -533,22 +530,25 @@ def build_dpo(
     seed: int = 0,
     chosen_successful_only: bool = False,
     hyperparameters: Mapping[str, Any] | None = None,
+    on_skip: Callable[[str, str], None] | None = None,
 ) -> TrainingManifest:
     """Preference pairs per paper from deduped, labeled units.
 
     real_label pairs draw disjoint fixed-size sets whose success counts
     differ by at least `delta`, the stratum chosen uniformly among the
     feasible ones; corruption pairs swap one successful original for its
-    kept corrupted variant, all other items identical. Papers with no
-    feasible pair are skipped with a log entry.
+    kept corrupted variant, all other items identical. A paper without
+    labeled units or a feasible pair is skipped, and on_skip(paper_id,
+    reason) hears of it, in paper order.
     """
+    skip = on_skip or (lambda paper_id, reason: None)
     out_path = Path(out_path)
     count = 0
     with open(out_path, "w", encoding="utf-8") as fh:
         for paper in store.papers(split):
             labeled = [u for u in paper.units if u.is_labeled]
             if not labeled:
-                logger.info("build_dpo: %s has no labeled units", paper.paper_id)
+                skip(paper.paper_id, "no labeled units")
                 continue
             embeddings = list(embed_fn([u.text for u in labeled]))
             deduped = dedup_units(
@@ -582,10 +582,7 @@ def build_dpo(
                     count += 1
                     emitted += 1
             if emitted == 0:
-                logger.info(
-                    "build_dpo: no qualifying pair for %s, skipped",
-                    paper.paper_id,
-                )
+                skip(paper.paper_id, "no qualifying pair")
     if count == 0:
         raise PipelineError(f"build_dpo: no pairs produced for split {split!r}")
     return TrainingManifest(

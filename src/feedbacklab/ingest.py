@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-import numpy as np
-
 from .core import AuthorAction, Decision, PaperRecord, Validity, canonical_json
 from .errors import IngestError, PipelineError
 
@@ -229,6 +227,8 @@ def build_test_split(
     papers and the remainder accepted, selected by seeded shuffle of the
     sorted candidate ids. Papers without a known decision are ignored.
     """
+    import numpy as np
+
     chosen: list[str] = []
     for pool_index, (first, last, size) in enumerate(pools):
         candidates: dict[Decision, list[str]] = {

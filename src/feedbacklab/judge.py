@@ -22,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Iterable,
@@ -32,10 +33,11 @@ from typing import (
     TypeVar,
 )
 
-import numpy as np
-
 from .core import canonical_json
 from .errors import ConfigError, JudgeError, JudgeFormatError, PipelineError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -48,7 +50,10 @@ BACKOFF_BASE_SECONDS = 0.5
 # Texts per embeddings POST; larger batches are split and the rows joined.
 MAX_EMBED_BATCH = 256
 # Embedding segments hold raw little-endian float64 rows after the header.
-SEGMENT_DTYPE = np.dtype("<f8")
+# numpy is imported only in the functions that handle vectors, so commands
+# that never embed start without it.
+SEGMENT_DTYPE = "<f8"
+SEGMENT_ITEM_BYTES = 8
 # A top-level map() writes its new completion records in segments that it
 # cuts at item boundaries once this many records have gathered.
 SEGMENT_RECORDS = 32
@@ -290,6 +295,8 @@ class RateLimiter:
 
 
 def _normalize(vector: Sequence[float]) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(vector, dtype=float)
     norm = float(np.linalg.norm(arr))
     if norm == 0.0 or not np.isfinite(norm):
@@ -299,6 +306,8 @@ def _normalize(vector: Sequence[float]) -> np.ndarray:
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity of two vectors, clipped to [-1, 1]."""
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
@@ -330,6 +339,8 @@ def similar_pairs(
     """
     if not len(a) or not len(b):
         return []
+    import numpy as np
+
     mirrored = a is b
     rows = [np.asarray(v, dtype=float) for v in (a if mirrored else (*a, *b))]
     for row in rows[1:]:
@@ -409,6 +420,8 @@ class StubBackend:
         return raw, {"prompt_tokens": 0, "completion_tokens": 0}
 
     def _vector_for(self, text: str) -> np.ndarray:
+        import numpy as np
+
         if text in self.embedding_overrides:
             vec = _normalize(self.embedding_overrides[text])
             if vec.shape[0] != self.embedding_dim:
@@ -526,6 +539,8 @@ class HttpBackend:
         self, endpoint: EndpointConfig, texts: Sequence[str]
     ) -> list[np.ndarray]:
         """One POST per MAX_EMBED_BATCH texts; rows in input order."""
+        import numpy as np
+
         out: list[np.ndarray] = []
         for start in range(0, len(texts), MAX_EMBED_BATCH):
             chunk = list(texts[start : start + MAX_EMBED_BATCH])
@@ -571,6 +586,12 @@ def _extract_json(raw: str) -> Any:
         if end > start:
             return json.loads(text[start : end + 1])
     raise json.JSONDecodeError("no JSON value found", raw, 0)
+
+
+def _off_cpu_clock() -> float:
+    """Wall time less this thread's CPU time: it advances only while the
+    thread is off the CPU (sleeping, blocked on I/O, or preempted)."""
+    return time.perf_counter() - time.thread_time()
 
 
 class _Budget:
@@ -687,9 +708,9 @@ class JudgeClient:
         if self._mode.cache_only:
             raise _Miss(budget)
         with budget.slots:
-            wall, cpu = time.perf_counter(), time.thread_time()
+            start = _off_cpu_clock()
             yield
-            off_cpu = time.perf_counter() - wall - (time.thread_time() - cpu)
+            off_cpu = _off_cpu_clock() - start
         budget.waits = off_cpu >= sys.getswitchinterval()
         if budget.waits and self._mode.waited is None:
             self._mode.waited = budget
@@ -748,7 +769,7 @@ class JudgeClient:
             if "sizes" in header:
                 sizes = header["sizes"]
             else:
-                sizes = [header["dim"] * SEGMENT_DTYPE.itemsize] * len(keys)
+                sizes = [header["dim"] * SEGMENT_ITEM_BYTES] * len(keys)
             intact = (
                 line.endswith(b"\n")
                 and isinstance(keys, list)
@@ -1095,6 +1116,8 @@ class JudgeClient:
         the others go to the backend in one call, each distinct text
         once, and are written as one new segment.
         """
+        import numpy as np
+
         if any(not t for t in texts):
             raise PipelineError("embed: empty string in batch")
         keys = [self._embedding_cache_key(endpoint, t) for t in texts]

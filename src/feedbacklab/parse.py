@@ -8,7 +8,7 @@ aspects, and dimensions in a single pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .core import (
     AspectTag,
@@ -26,7 +26,9 @@ from .errors import JudgeFormatError, PipelineError, StatsError
 from .ingest import AnnotationRecord
 from .judge import EndpointConfig, JudgeClient
 from .prompts import THREAD_PARSE
-from .stats import ContingencyTable, cohen_kappa, observed_agreement, pabak
+
+if TYPE_CHECKING:
+    from .stats import ContingencyTable
 
 
 @dataclass(frozen=True)
@@ -157,6 +159,9 @@ def _pooled_pair_table(
     (table, pair count, unit count); table is None when no unit has
     two or more labels.
     """
+    # stats imports numpy; parsing threads needs neither.
+    from .stats import ContingencyTable
+
     pairs: list[tuple[str, str]] = []
     units_used = 0
     for labels in per_unit_labels:
@@ -187,6 +192,8 @@ def agreement_report(
     reference rows compare each annotation against the reference unit's
     label (accuracy plus its PABAK rescaling).
     """
+    from .stats import cohen_kappa, observed_agreement, pabak
+
     ref_by_id = {u.id: u for u in reference}
     report: dict[str, Any] = {}
     for kind in ("validity", "action"):

@@ -14,18 +14,12 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from .config import FILTER_DIMENSIONS, QualityThresholds
 from .core import AuthorAction, FeedbackUnit, PaperRecord, Validity, is_actionable
-from .errors import ConfigError, PipelineError
+from .errors import PipelineError
 from .judge import EndpointConfig, JudgeClient
 from .prompts import QUALITY_DIMENSIONS, QUALITY_SCORE, RESPONSE_PREDICT
 from .stats import ci_summary, draw_without_replacement, keyed_rng
-
-FILTER_DIMENSIONS = (
-    "accuracy",
-    "paper_specific_grounding",
-    "constructive_tone",
-    "prioritisation",
-)
 
 
 class SuccessMode(str, Enum):
@@ -54,29 +48,6 @@ class QualityScores:
 
     def as_dict(self) -> dict[str, int]:
         return {dim: getattr(self, dim) for dim in QUALITY_DIMENSIONS}
-
-
-@dataclass(frozen=True)
-class QualityThresholds:
-    """Minimum scores for the four filtering dimensions.
-
-    Defaults are the published mean judge scores over the human
-    reference feedback; actionability deliberately has no threshold.
-    """
-
-    accuracy: float = 4.37
-    paper_specific_grounding: float = 4.36
-    constructive_tone: float = 4.62
-    prioritisation: float = 4.44
-
-    def __post_init__(self) -> None:
-        for dim in FILTER_DIMENSIONS:
-            value = getattr(self, dim)
-            if not 1.0 <= value <= 5.0:
-                raise ConfigError(f"threshold {dim}={value} outside [1,5]")
-
-    def as_dict(self) -> dict[str, float]:
-        return {dim: getattr(self, dim) for dim in FILTER_DIMENSIONS}
 
 
 @dataclass(frozen=True)

@@ -499,13 +499,13 @@ def test_forge_sft_command(tmp_path):
     assert manifest["kind"] == "sft" and manifest["record_count"] == 1
 
 
-def forge_dpo_setup(tmp_path, n_successful=7, n_weak=7):
+def forge_dpo_setup(tmp_path, n_successful=7, n_weak=7, other_papers=()):
     texts = [f"distinct successful point number {i}" for i in range(n_successful)]
     weak = [f"distinct weak point number {i}" for i in range(n_weak)]
     units = [labeled_unit("p1", "R1", t) for t in texts] + [
         labeled_unit("p1", "R1", t, successful=False) for t in weak
     ]
-    write_corpus(tmp_path / "corpus", [synth_paper("p1", units)])
+    write_corpus(tmp_path / "corpus", [synth_paper("p1", units), *other_papers])
     # orthogonal embeddings so dedup keeps everything
     dim = 16
     embeddings = {}
@@ -589,6 +589,39 @@ def test_forge_dpo_command(tmp_path):
         (run_dir / "artifacts" / "dpo_manifest.json").read_text()
     )
     assert manifest["kind"] == "dpo" and manifest["record_count"] == 2
+
+
+def test_forge_dpo_logs_skipped_papers_in_paper_order(tmp_path):
+    # p0 has no labeled units; p2's two units fill no set of k=5 items.
+    p0 = synth_paper("p0", [])
+    p2 = synth_paper(
+        "p2",
+        [
+            labeled_unit("p2", "R1", "a lone strong point"),
+            labeled_unit("p2", "R1", "a lone weak point", successful=False),
+        ],
+    )
+    cfg = forge_dpo_setup(tmp_path, other_papers=(p2, p0))
+    assert main(["forge-dpo", "--config", cfg]) == 0
+    run_dir = only_run_dir(tmp_path / "runs")
+    log = [
+        json.loads(line) for line in (run_dir / "log.jsonl").read_text().splitlines()
+    ]
+    assert [e["event"] for e in log] == [
+        "load_corpus",
+        "skip_paper",
+        "skip_paper",
+        "forge_dpo",
+    ]
+    # Paper order is the split's order, p1 p2 p0, not sorted ids.
+    assert log[1:3] == [
+        {"event": "skip_paper", "paper_id": "p2", "reason": "no qualifying pair"},
+        {"event": "skip_paper", "paper_id": "p0", "reason": "no labeled units"},
+    ]
+    assert log[3] == {"event": "forge_dpo", "records": 2}
+    before = snapshot(run_dir)
+    assert main(["forge-dpo", "--config", cfg]) == 0
+    assert snapshot(run_dir) == before
 
 
 def test_calibrate_command(tmp_path):
@@ -1023,3 +1056,43 @@ def test_cli_import_loads_no_heavy_packages():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_commands_that_never_compute_start_without_numpy(tmp_path):
+    # numpy is imported by the modules that compute with it, and cli
+    # imports those inside the commands that use them.
+    cfg = parse_setup(tmp_path, [synth_paper("p1", [], threads=("R1", "R2"))])
+    bad_cfg = write_config(tmp_path / "bad.json", thresholds={"dedup": 5})
+    paths = [str(Path(feedbacklab.__file__).parent.parent)]
+    paths += filter(None, [os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    probe = f"""
+import sys
+from feedbacklab.cli import load_config, main
+load_config({cfg!r})
+steps = [("load_config", 0, "numpy" in sys.modules)]
+for command, cfg in [
+    ("ingest", {cfg!r}), ("parse", {cfg!r}), ("report", {cfg!r}),
+    ("parse", {bad_cfg!r}),
+]:
+    code = main([command, "--config", cfg])
+    steps.append((command, code, "numpy" in sys.modules))
+print(steps)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.strip().splitlines()[-1] == str(
+        [
+            ("load_config", 0, False),
+            ("ingest", 0, False),
+            ("parse", 0, False),
+            ("report", 0, False),
+            ("parse", 2, False),
+        ]
+    )

@@ -549,7 +549,8 @@ class EchoBackend:
             wait = self.barrier is not None and len(self.calls) <= self.barrier.parties
         if wait:
             self.barrier.wait()
-        time.sleep(self.delay)
+        if self.delay:
+            time.sleep(self.delay)
         with self._lock:
             self.in_flight[url] -= 1
         reply = {"match": "1", "explanation": bindings["left_text"]}
@@ -586,8 +587,21 @@ def test_map_stays_on_the_calling_thread_until_a_call_waits(monkeypatch):
         pools.append(max_workers)
         return real_pool(max_workers=max_workers)
 
+    # Each thread's off-CPU clock advances by the backend's delay and by
+    # nothing else, so whether a call waited does not depend on the
+    # host's load (a preempted zero-delay call would count as waiting).
+    off_cpu = threading.local()
+
+    class Clocked(EchoBackend):
+        def complete(self, *args):
+            off_cpu.seconds = getattr(off_cpu, "seconds", 0.0) + self.delay
+            return super().complete(*args)
+
     monkeypatch.setattr(judge_module, "ThreadPoolExecutor", counting_pool)
-    backend = EchoBackend(delay=0)
+    monkeypatch.setattr(
+        judge_module, "_off_cpu_clock", lambda: getattr(off_cpu, "seconds", 0.0)
+    )
+    backend = Clocked(delay=0)
     endpoint = EndpointConfig(max_concurrency=4)
     client = JudgeClient(backend)
 
