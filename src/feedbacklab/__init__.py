@@ -17,8 +17,8 @@ _SUBMODULE_OF = {
         "consensus": (
             "ConsensusSet MatchEdge MatchScore bootstrap_match_eval "
             "build_consensus build_stratum_table calibrate_threshold "
-            "consensus_clusters distribution_weighted prefilter_pairs "
-            "score_model"
+            "consensus_clusters decompose_novel_aligned distribution_weighted "
+            "prefilter_pairs score_model"
         ),
         "core": (
             "AspectTag AuthorAction Decision FeedbackDimension FeedbackUnit "

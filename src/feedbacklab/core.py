@@ -367,16 +367,3 @@ class PaperRecord:
             units=tuple(FeedbackUnit.from_dict(u) for u in data["units"]),
             body_markdown=data.get("body_markdown"),
         )
-
-
-def success_grid() -> dict[tuple[Validity, AuthorAction], bool]:
-    """The full 21-combination success table, for audit and tests."""
-    return {
-        (v, a): success_indicator(v, a)
-        for v in Validity
-        for a in AuthorAction
-    }
-
-
-def count_successful(units: Iterable[FeedbackUnit]) -> int:
-    return sum(1 for u in units if u.is_successful)

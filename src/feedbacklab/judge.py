@@ -595,35 +595,16 @@ def _off_cpu_clock() -> float:
 
 
 class _Budget:
-    """One endpoint's concurrency budget: max_concurrency slots, and
-    whether the last backend call that held one waited."""
+    """One endpoint's concurrency budget: max_concurrency slots."""
 
     def __init__(self, size: int):
         self.size = size
         self.slots = threading.BoundedSemaphore(size)
-        # Until a call shows otherwise, the endpoint counts as one whose
-        # calls wait, so a live endpoint's first fan-out starts wide.
-        self.waits = True
-
-
-class _Miss(BaseException):
-    """Raised in cache-only mode by the first call that would reach the
-    backend, carrying that endpoint's budget.
-
-    A BaseException, so that no `except Exception` in a mapped function
-    can swallow it.
-    """
-
-    def __init__(self, budget: _Budget):
-        super().__init__(budget.size)
-        self.budget = budget
 
 
 class _Mode(threading.local):
-    # While set, a call that would reach the backend raises _Miss.
-    cache_only = False
-    # The budget of the first backend call that waited since map() last
-    # cleared this.
+    # The budget of the first backend call on this thread that waited
+    # since map() last cleared this.
     waited: _Budget | None = None
     # The top-level map this thread runs an item of, and that item's new
     # completion records, (key, record) in the order its calls made them;
@@ -703,16 +684,13 @@ class JudgeClient:
     @contextlib.contextmanager
     def _backend_slot(self, endpoint: EndpointConfig) -> Iterator[None]:
         """Hold one slot of endpoint's budget and note whether the call
-        waited; in cache-only mode, raise _Miss instead."""
+        waited."""
         budget = self._budget(endpoint)
-        if self._mode.cache_only:
-            raise _Miss(budget)
         with budget.slots:
             start = _off_cpu_clock()
             yield
-            off_cpu = _off_cpu_clock() - start
-        budget.waits = off_cpu >= sys.getswitchinterval()
-        if budget.waits and self._mode.waited is None:
+            waited = _off_cpu_clock() - start >= sys.getswitchinterval()
+        if waited and self._mode.waited is None:
             self._mode.waited = budget
 
     # -- cache ---------------------------------------------------------
@@ -887,14 +865,10 @@ class JudgeClient:
             return entry["raw_text"], entry.get("usage", {})
         except (KeyError, TypeError, ValueError):
             # A torn entry is a miss, and the fresh result goes to a
-            # segment. A cache-only read stays silent: the miss sends the
-            # call back outside that mode, which reads the entry again and
-            # warns once.
-            if not self._mode.cache_only:
-                logger.warning(
-                    "judge cache: unreadable entry %s, treated as a miss",
-                    path.name,
-                )
+            # segment.
+            logger.warning(
+                "judge cache: unreadable entry %s, treated as a miss", path.name
+            )
             return None
 
     def _cache_write(self, key: str, raw: str, usage: Mapping[str, Any]) -> None:
@@ -991,22 +965,17 @@ class JudgeClient:
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         """fn over items: the single fan-out path for judge work.
 
-        Items run one after another on the calling thread in cache-only
-        mode, so cache hits start no thread and take no slot. The first
-        item that would reach the backend stops that pass and runs again
-        from its start; fn should have no effect but its judge calls.
-        Items then stay on the calling thread while backend calls return
-        without waiting: with nothing to overlap, more threads would only
-        contend for the GIL. Once that endpoint's last call waited (an
-        endpoint with no call yet counts as waiting), or a call in the
-        item just run did, the rest go to a thread pool of its own, as
-        wide as the budget (max_concurrency) of the first call that
-        waited and never wider than the items left (width 1 keeps them
-        on the calling thread). Every backend call, in any map of
-        this client, holds a slot of its endpoint's budget, and nothing
-        holds a slot while it waits, so nested and concurrent maps can
-        neither deadlock nor exceed a limit. A map nested in an item
-        that runs cache-only passes the miss up to the outer map.
+        fn runs once per item. Items run one after another on the calling
+        thread until a backend call in the item just run waited: while
+        calls return without waiting (cache hits never reach the backend)
+        there is nothing to overlap, and more threads would only contend
+        for the GIL. The rest then go to a thread pool of their own, as
+        wide as the budget (max_concurrency) of the first call that waited
+        and never wider than the items left; a budget of 1, or a single
+        item left, keeps them on the calling thread. Every backend call,
+        in any map of this client, holds a slot of its endpoint's budget,
+        and nothing holds a slot while it waits, so nested and concurrent
+        maps can neither deadlock nor exceed a limit.
 
         Results come back in input order; the failure of the earliest
         failing item propagates and items not yet started are cancelled.
@@ -1020,7 +989,6 @@ class JudgeClient:
         the items before it and those it made itself are still written.
         """
         mode = self._mode
-        outer = mode.cache_only
         top = mode.batch is None
         batch = _Batch(self._write_completions) if top else mode.batch
         keep = batch.add if top else mode.records.extend
@@ -1040,26 +1008,12 @@ class JudgeClient:
             """Item i's result, then its records; in input order."""
             try:
                 done.append(outcome())
-            except _Miss:
-                raise
-            except BaseException:
+            finally:
                 keep(records[i])
-                raise
-            keep(records[i])
-            records[i] = None
+                records[i] = None
 
         try:
-            mode.cache_only = True
-            try:
-                for i in range(len(items)):
-                    settle(i, functools.partial(run, i))
-                return done
-            except _Miss as miss:
-                if outer:
-                    raise
-                waited = miss.budget if miss.budget.waits else None
-            finally:
-                mode.cache_only = outer
+            waited = None
             while waited is None and len(done) < len(items):
                 mode.waited = None
                 settle(len(done), functools.partial(run, len(done)))

@@ -8,7 +8,6 @@ previously cached responses.
 from __future__ import annotations
 
 from .core import AspectTag, AuthorAction, FeedbackDimension, Validity
-from .errors import ConfigError
 from .judge import PromptTemplate
 
 _VALIDITY = [v.value for v in Validity]
@@ -291,13 +290,6 @@ REGISTRY: dict[str, PromptTemplate] = {
         RESPONSE_PREDICT,
     )
 }
-
-
-def get_template(name: str) -> PromptTemplate:
-    try:
-        return REGISTRY[name]
-    except KeyError:
-        raise ConfigError(f"unknown prompt template: {name!r}") from None
 
 
 def prompt_versions() -> dict[str, str]:

@@ -217,22 +217,6 @@ def _chi2_sf(stat: float, df: int) -> float:
     return q
 
 
-def chi_square_test(table: Any) -> tuple[float, float]:
-    """Pearson chi-square on a 2x2 table, 1 df, no continuity correction."""
-    t = _as_table(table)
-    if t.shape != (2, 2):
-        raise StatsError(f"chi_square_test needs a 2x2 table, got {t.shape}")
-    rows, cols, n = t.row_totals(), t.col_totals(), t.total
-    if 0 in rows or 0 in cols:
-        raise StatsError("chi_square_test: zero margin, statistic undefined")
-    stat = 0.0
-    for i in range(2):
-        for j in range(2):
-            expected = rows[i] * cols[j] / n
-            stat += (t.counts[i][j] - expected) ** 2 / expected
-    return stat, _chi2_sf(stat, 1)
-
-
 def fisher_exact(table: Any) -> float:
     """Two-sided Fisher exact p for a 2x2 table.
 
@@ -256,20 +240,6 @@ def fisher_exact(table: Any) -> float:
     p_obs = pmf(a)
     p = sum((pmf(k) for k in range(lo, hi + 1) if pmf(k) <= p_obs), Fraction(0))
     return float(min(p, Fraction(1)))
-
-
-def binary_tests(table: Any) -> dict[str, float]:
-    """Chi-square and Fisher exact p-values for one 2x2 table.
-
-    Raises on a zero margin because the chi-square statistic is
-    undefined there; call fisher_exact directly for such tables.
-    """
-    stat, chi_p = chi_square_test(table)
-    return {
-        "chi_square_stat": stat,
-        "chi_square_p": chi_p,
-        "fisher_exact_p": fisher_exact(table),
-    }
 
 
 def _midranks(pooled: Sequence[float]) -> list[float]:
@@ -409,32 +379,6 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> dict[str, Any]:
         "statistic": h_corrected,
         "p": _chi2_sf(h_corrected, len(groups) - 1),
     }
-
-
-def ordinal_tests(
-    groups: Sequence[Sequence[float]],
-    exact_limit: int = EXACT_MWU_LIMIT,
-    correction: str | None = None,
-) -> dict[str, Any]:
-    """Kruskal-Wallis across groups plus pairwise Mann-Whitney U.
-
-    Pairwise p-values are uncorrected by default; correction="bonferroni"
-    multiplies each by the number of pairs (capped at 1).
-    """
-    if correction not in (None, "bonferroni"):
-        raise StatsError(f"unknown correction: {correction!r}")
-    kw = kruskal_wallis(groups)
-    pairs: dict[str, dict[str, Any]] = {}
-    keys = list(combinations(range(len(groups)), 2))
-    for i, j in keys:
-        result = mann_whitney_u(groups[i], groups[j], exact_limit=exact_limit)
-        if correction == "bonferroni":
-            result = {**result, "p": min(1.0, result["p"] * len(keys))}
-        pairs[f"{i}_vs_{j}"] = result
-    out: dict[str, Any] = {"kruskal_wallis": kw, "pairwise": pairs}
-    if correction:
-        out["correction"] = correction
-    return out
 
 
 def keyed_rng(seed: int, *key: str) -> np.random.Generator:

@@ -254,25 +254,3 @@ def bootstrap_eval(
         out[mode.value] = ci_summary(numer[mode] / denom)
     return out
 
-
-def exhaustive_subset_expectation(
-    evaluations: Sequence[UnitEvaluation],
-    k: int,
-    mode: SuccessMode,
-    quality_filter: bool = True,
-) -> tuple[int, int]:
-    """Expected (pass sum over draws, draw size) for one paper.
-
-    Averaging over all size-min(k,n) subsets, each unit appears with
-    equal probability, so the expected drawn pass count is
-    m * min(k,n) / n for m passing units; returned as an exact ratio
-    times a common scale (numerator, denominator support exact
-    cross-paper pooling by the caller).
-    """
-    n = len(evaluations)
-    if n == 0:
-        raise PipelineError("exhaustive_subset_expectation: no units")
-    m = sum(1 for e in evaluations if e.succeeds(mode, quality_filter))
-    size = min(k, n)
-    # expected pass count = m*size/n, expressed as (m*size, n)
-    return m * size, n

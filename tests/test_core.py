@@ -19,10 +19,8 @@ from feedbacklab.core import (
     canonical_json,
     connected_components,
     content_hash,
-    count_successful,
     is_actionable,
     make_unit_id,
-    success_grid,
     success_indicator,
 )
 
@@ -71,7 +69,7 @@ def test_success_rule_exhaustive():
         for action in ACTIONS:
             expected = validity is Validity.AGREED and action in actionable
             assert success_indicator(validity, action) == expected
-    grid = success_grid()
+    grid = {(v, a): success_indicator(v, a) for v in VALIDITIES for a in ACTIONS}
     assert len(grid) == 21
     assert sum(1 for ok in grid.values() if ok) == 2
     assert grid[(Validity.AGREED, AuthorAction.WILL_REVISE)]
@@ -252,7 +250,7 @@ def test_paper_round_trip_and_grouping():
     assert PaperRecord.from_dict(p.to_dict()) == p
     assert sorted(p.units_by_reviewer()) == ["r1", "r2"]
     assert [u.id for u in p.successful_units()] == ["u1"]
-    assert count_successful(p.units) == 1
+    assert [u.is_successful for u in p.units] == [True, False]
     replaced = p.with_units([unit("u9", text="other point")])
     assert [u.id for u in replaced.units] == ["u9"]
     assert replaced.title == p.title

@@ -43,7 +43,6 @@ from feedbacklab.prompts import (
     PAIR_MATCH,
     QUALITY_DIMENSIONS,
     REGISTRY,
-    get_template,
     prompt_versions,
 )
 
@@ -92,9 +91,6 @@ def test_registry_contains_all_tasks():
         "quality_score",
         "response_predict",
     }
-    assert get_template("pair_match") is PAIR_MATCH
-    with pytest.raises(ConfigError):
-        get_template("nope")
     versions = prompt_versions()
     assert set(versions) == set(REGISTRY)
     assert all(v for v in versions.values())
@@ -532,9 +528,11 @@ class EchoBackend:
     """pair_match replies that echo left_text; tracks backend calls in
     flight per endpoint (keyed by base_url)."""
 
-    def __init__(self, delay=0.01, barrier=None):
+    def __init__(self, delay=0.01, barrier=None, skip=0):
         self.delay = delay
-        self.barrier = barrier  # the first barrier.parties calls wait on it
+        # after the first `skip` calls, the next barrier.parties wait on it
+        self.barrier = barrier
+        self.skip = skip
         self.calls = []
         self.in_flight = Counter()
         self.peak = Counter()
@@ -546,7 +544,10 @@ class EchoBackend:
             self.calls.append(bindings["left_text"])
             self.in_flight[url] += 1
             self.peak[url] = max(self.peak[url], self.in_flight[url])
-            wait = self.barrier is not None and len(self.calls) <= self.barrier.parties
+            wait = (
+                self.barrier is not None
+                and self.skip < len(self.calls) <= self.skip + self.barrier.parties
+            )
         if wait:
             self.barrier.wait()
         if self.delay:
@@ -564,9 +565,10 @@ def echo(client, endpoint, left):
 
 
 def test_map_keeps_order_and_bounds_in_flight(tmp_path):
-    # the first three backend calls can only pass the barrier together,
-    # so three calls must be in flight at once
-    backend = EchoBackend(barrier=threading.Barrier(3, timeout=10))
+    # item 0's call runs inline and waits; the next three backend calls,
+    # items 1-3 on the pool, can only pass the barrier together, so three
+    # calls must be in flight at once
+    backend = EchoBackend(barrier=threading.Barrier(3, timeout=10), skip=1)
     endpoint = EndpointConfig(max_concurrency=3)
     client = JudgeClient(backend, cache_dir=tmp_path)
     # items 0-9 are cached: they run inline, the rest on the pool
@@ -608,23 +610,37 @@ def test_map_stays_on_the_calling_thread_until_a_call_waits(monkeypatch):
     def run(items):
         return client.map(lambda i: echo(client, endpoint, str(i)), items)
 
-    # a new endpoint counts as one whose calls wait: a pool four wide
+    # calls that return at once start no pool, on a new endpoint too
     assert run(range(8)) == [str(i) for i in range(8)]
-    assert pools == [4]
-    # a call alone on this thread returns at once; from then on every
-    # miss runs on the calling thread
-    echo(client, endpoint, "alone")
-    backend.peak.clear()
-    assert run(range(8, 16)) == [str(i) for i in range(8, 16)]
-    assert pools == [4] and backend.peak[""] == 1
-    # item 16's call waits, so items 17-23 go to a pool four wide
+    assert pools == [] and backend.peak[""] == 1
+    # item 8 runs inline and its call waits, so items 9-15 go to a pool
+    # four wide
     backend.delay = 0.02
     first = len(backend.calls)
+    assert run(range(8, 16)) == [str(i) for i in range(8, 16)]
+    assert pools == [4] and backend.calls[first] == "8"
+    assert backend.peak[""] <= 4
+    # nothing is remembered per endpoint: the next map starts inline again
+    backend.delay = 0
+    backend.peak.clear()
     assert run(range(16, 24)) == [str(i) for i in range(16, 24)]
-    assert pools == [4, 4] and backend.calls[first] == "16"
-    # the endpoint's last call waited: the next miss goes to the pool
-    assert run(range(24, 32)) == [str(i) for i in range(24, 32)]
-    assert pools == [4, 4, 4] and backend.peak[""] <= 4
+    assert pools == [4] and backend.peak[""] == 1
+
+
+def test_map_runs_each_item_once():
+    for max_concurrency in (1, 4):
+        endpoint = EndpointConfig(max_concurrency=max_concurrency)
+        client = JudgeClient(EchoBackend(delay=0.002))
+        runs = Counter()
+        lock = threading.Lock()
+
+        def fn(i):
+            with lock:
+                runs[i] += 1
+            return echo(client, endpoint, str(i))
+
+        assert client.map(fn, range(12)) == [str(i) for i in range(12)]
+        assert runs == Counter(range(12))
 
 
 def test_map_propagates_earliest_failure_and_cancels_the_rest(tmp_path):
@@ -658,7 +674,7 @@ def test_map_nested_calls_complete(tmp_path):
 
     want = [[f"{i}-{j}" for j in range(3)] for i in range(4)]
     # Items 0 and 1 are cached whole and run inline; item 2's nested map
-    # hits on 2-0 and misses on 2-1, which the outer map takes over.
+    # hits on 2-0 and runs its misses 2-1 and 2-2 itself.
     for left in ("0-0", "0-1", "0-2", "1-0", "1-1", "1-2", "2-0"):
         echo(client, endpoint, left)
     assert client.map(inner, range(4)) == want
@@ -921,9 +937,7 @@ def test_torn_completion_is_a_miss_and_warns_once(tmp_path, caplog):
         cut = header_len // 2 if torn == "mid-header" else len(whole) - 3
         segment.write_bytes(whole[:cut])
 
-        # map() looks each key up twice, cache-only on the calling thread
-        # and again when the miss sends the item to the backend; the
-        # segment's header is read once
+        # the segment's header is read once, by the first lookup
         client = JudgeClient(backend, cache_dir=cache_dir)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):

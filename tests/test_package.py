@@ -6,7 +6,8 @@ import pytest
 import feedbacklab
 from feedbacklab import config, successeval
 
-# The names `feedbacklab` exported when it imported every submodule.
+# The names `feedbacklab` exported when it imported every submodule, and
+# decompose_novel_aligned, which consensus lists in its __all__.
 EXPORTS = [
     "AnnotationRecord", "AspectTag", "AuthorAction", "ConfigError",
     "ConsensusSet", "ContingencyTable", "CorruptionVariant", "DatasetStore",
@@ -20,8 +21,9 @@ EXPORTS = [
     "bootstrap_match_eval", "build_consensus", "build_corruption_bank",
     "build_dpo", "build_sft", "build_stratum_table", "build_test_split",
     "calibrate_threshold", "canonical_json", "cohen_kappa", "config_hash",
-    "consensus_clusters", "content_hash", "corrupt", "cosine", "dedup_units",
-    "distribution_weighted", "evaluate_unit", "fisher_exact",
+    "consensus_clusters", "content_hash", "corrupt", "cosine",
+    "decompose_novel_aligned", "dedup_units", "distribution_weighted",
+    "evaluate_unit", "fisher_exact",
     "is_actionable", "krippendorff_alpha", "kruskal_wallis",
     "load_annotations", "load_config", "load_corpus", "majority_vote",
     "make_unit_id", "mann_whitney_u", "pabak", "parse_config",

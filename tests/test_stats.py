@@ -14,8 +14,6 @@ from feedbacklab.stats import (
     CIReport,
     ContingencyTable,
     _chi2_sf,
-    binary_tests,
-    chi_square_test,
     cohen_kappa,
     draw_without_replacement,
     fisher_exact,
@@ -24,7 +22,6 @@ from feedbacklab.stats import (
     krippendorff_alpha,
     mann_whitney_u,
     observed_agreement,
-    ordinal_tests,
     pabak,
     percentile_bootstrap,
     percentile_ci,
@@ -179,25 +176,6 @@ def test_contingency_table_validation():
         ContingencyTable(())
 
 
-def test_chi_square_against_scipy():
-    rng = np.random.default_rng(7)
-    checked = 0
-    while checked < 50:
-        table = rng.integers(0, 30, size=(2, 2))
-        if 0 in table.sum(axis=0) or 0 in table.sum(axis=1):
-            continue
-        stat, p = chi_square_test(table.tolist())
-        ref = scipy.stats.chi2_contingency(table, correction=False)
-        assert stat == pytest.approx(ref.statistic, rel=1e-12)
-        assert p == pytest.approx(ref.pvalue, rel=1e-10, abs=1e-300)
-        checked += 1
-
-
-def test_chi_square_zero_margin_rejected():
-    with pytest.raises(StatsError):
-        chi_square_test([[0, 0], [3, 4]])
-
-
 def test_fisher_exact_known_value():
     # perfectly diagonal 5+5: only the two extreme tables are as probable
     assert fisher_exact([[5, 0], [0, 5]]) == pytest.approx(2 / 252, abs=1e-15)
@@ -228,12 +206,6 @@ def test_fisher_matches_enumeration_and_scipy(cells):
     assert p == pytest.approx(fisher_oracle(table), abs=1e-12)
     ref = scipy.stats.fisher_exact(table, alternative="two-sided")
     assert p == pytest.approx(ref.pvalue, abs=1e-9)
-
-
-def test_binary_tests_keys():
-    out = binary_tests([[8, 2], [3, 7]])
-    assert set(out) == {"chi_square_stat", "chi_square_p", "fisher_exact_p"}
-    assert 0 <= out["fisher_exact_p"] <= 1
 
 
 # ---- rank tests ----
@@ -360,7 +332,7 @@ def test_chi2_sf_matches_scipy(df, x):
 
 def test_chi2_sf_edges():
     assert _chi2_sf(0.0, 1) == 1.0 and _chi2_sf(0.0, 7) == 1.0
-    # df = 1 is the bare erfc term that chi_square_test has always used
+    # df = 1 is the bare erfc term
     for stat in (0.3, 3.841458820694124, 40.0):
         assert _chi2_sf(stat, 1) == math.erfc(math.sqrt(stat / 2.0))
 
@@ -372,21 +344,6 @@ def test_kruskal_wallis_degenerate():
         kruskal_wallis([[1, 2]])
     with pytest.raises(StatsError):
         kruskal_wallis([[1], []])
-
-
-def test_ordinal_tests_structure_and_bonferroni():
-    groups = [[1, 2, 3], [2, 3, 4], [5, 6, 7]]
-    out = ordinal_tests(groups)
-    assert set(out) == {"kruskal_wallis", "pairwise"}
-    assert set(out["pairwise"]) == {"0_vs_1", "0_vs_2", "1_vs_2"}
-    plain = out["pairwise"]["0_vs_1"]["p"]
-    adj = ordinal_tests(groups, correction="bonferroni")
-    assert adj["correction"] == "bonferroni"
-    assert adj["pairwise"]["0_vs_1"]["p"] == pytest.approx(
-        min(1.0, plain * 3), abs=1e-15
-    )
-    with pytest.raises(StatsError):
-        ordinal_tests(groups, correction="holm")
 
 
 # ---- bootstrap plumbing ----

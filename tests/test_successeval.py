@@ -27,7 +27,6 @@ from feedbacklab.successeval import (
     UnitEvaluation,
     bootstrap_eval,
     evaluate_unit,
-    exhaustive_subset_expectation,
     passes_quality,
     predict_response,
     score_quality,
@@ -332,6 +331,21 @@ def test_bootstrap_golden_values():
             "ci_half_width": 0.11764705882352942,
         },
     }
+
+
+def exhaustive_subset_expectation(evaluations, k, mode, quality_filter=True):
+    """Oracle: expected (pass sum over draws, draw size) for one paper.
+
+    Averaging over all size-min(k,n) subsets, each unit appears with
+    equal probability, so the expected drawn pass count is
+    m * min(k,n) / n for m passing units, returned as the exact ratio
+    (m * min(k,n), n) so that papers pool without rounding.
+    """
+    n = len(evaluations)
+    if n == 0:
+        raise PipelineError("exhaustive_subset_expectation: no units")
+    m = sum(1 for e in evaluations if e.succeeds(mode, quality_filter))
+    return m * min(k, n), n
 
 
 def test_bootstrap_mean_matches_exhaustive_expectation():
