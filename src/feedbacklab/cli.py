@@ -13,6 +13,7 @@ them, so start-up, `ingest`, `parse` and `report` do without it.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import os
 import sys
@@ -23,6 +24,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .config import PipelineConfig, config_hash, load_config
 from .core import FeedbackUnit, PaperRecord, Source, canonical_json, make_unit_id
+from .core import atomic_write
 from .errors import ConfigError, FeedbackLabError, IngestError, PipelineError
 from .ingest import (
     DatasetStore,
@@ -63,28 +65,27 @@ class RunContext:
         self.artifacts = self.run_dir / "artifacts"
         self.cache_dir = self.run_dir / "cache"
         self.events: list[dict[str, Any]] = []
-        self._lock_fd: int | None = None
 
     def __enter__(self) -> "RunContext":
         self.artifacts.mkdir(parents=True, exist_ok=True)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        lock_path = self.run_dir / "lock"
+        # The kernel drops a flock when its holder dies. The file stays:
+        # unlinking it would let two processes lock different inodes.
+        self._lock_fd = os.open(self.run_dir / "lock", os.O_CREAT | os.O_RDWR)
         try:
-            self._lock_fd = os.open(
-                lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY
-            )
-        except FileExistsError:
+            fcntl.flock(self._lock_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(self._lock_fd)
             raise PipelineError(
-                f"run directory {self.run_dir} is locked by another process "
-                "(remove the 'lock' file if that process is gone)"
+                f"run directory {self.run_dir} is locked by another process"
             ) from None
-        os.write(self._lock_fd, str(os.getpid()).encode())
+        # A .tmp here is a killed writer's; no other process writes now.
+        for tmp in self.run_dir.rglob("*.tmp"):
+            tmp.unlink()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self._lock_fd is not None:
-            os.close(self._lock_fd)
-            (self.run_dir / "lock").unlink(missing_ok=True)
+        os.close(self._lock_fd)
 
     def log(self, event: str, **data: Any) -> None:
         self.events.append({"event": event, **data})
@@ -109,34 +110,25 @@ class RunContext:
             "seed": self.config.sampling.seed,
         }
 
-    def write_jsonl(self, name: str, rows: Sequence[Mapping[str, Any]]) -> Path:
-        path = self.artifacts / name
-        path.write_text(
-            "".join(canonical_json(dict(r)) + "\n" for r in rows),
-            encoding="utf-8",
-        )
-        return path
+    def write_jsonl(self, name: str, rows: Sequence[Mapping[str, Any]]) -> None:
+        with atomic_write(self.artifacts / name) as fh:
+            fh.writelines(canonical_json(dict(r)) + "\n" for r in rows)
 
     def finish(self, report: EvalReport) -> None:
-        (self.artifacts / "eval_report.json").write_text(
-            canonical_json(report.to_dict()) + "\n", encoding="utf-8"
-        )
+        with atomic_write(self.artifacts / "eval_report.json") as fh:
+            fh.write(canonical_json(report.to_dict()) + "\n")
         self.render(report)
-        (self.run_dir / "log.jsonl").write_text(
-            "".join(canonical_json(e) + "\n" for e in self.events),
-            encoding="utf-8",
-        )
+        with atomic_write(self.run_dir / "log.jsonl") as fh:
+            fh.writelines(canonical_json(e) + "\n" for e in self.events)
 
     def render(self, report: EvalReport) -> None:
-        (self.run_dir / "report.json").write_text(
-            render_report(report, "json"), encoding="utf-8"
-        )
-        (self.run_dir / "report.csv").write_text(
-            render_report(report, "csv"), encoding="utf-8"
-        )
-        (self.run_dir / "report.md").write_text(
-            render_report(report, "markdown-table"), encoding="utf-8"
-        )
+        for name, fmt in (
+            ("report.json", "json"),
+            ("report.csv", "csv"),
+            ("report.md", "markdown-table"),
+        ):
+            with atomic_write(self.run_dir / name) as fh:
+                fh.write(render_report(report, fmt))
 
 
 def load_model_units(
@@ -692,11 +684,7 @@ def cmd_success_eval(ctx: RunContext) -> EvalReport:
     rows = []
     for mode in successeval.SuccessMode:
         full = successeval.success_rate(
-            all_evals,
-            mode,
-            quality_filter=True
-            if mode is successeval.SuccessMode.COMBINED
-            else quality_filter,
+            all_evals, mode, mode.filters_quality(quality_filter)
         )
         entry = aggregate[mode.value]
         rows.append(
@@ -750,7 +738,7 @@ def cmd_report(ctx: RunContext) -> EvalReport:
             json.loads(stored.read_text(encoding="utf-8"))
         )
     except (AttributeError, KeyError, TypeError, ValueError, PipelineError) as exc:
-        # A torn write or a hand edit; the command that wrote it rebuilds it.
+        # A hand edit, say; the command that wrote it rebuilds it.
         raise PipelineError(
             f"report: stored report {stored} is unreadable "
             f"({type(exc).__name__}: {exc}); rerun the pipeline command "

@@ -9,11 +9,13 @@ reproduce the original bytes.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from pathlib import Path
+from typing import IO, Any, Iterable, Iterator, Mapping
 
 
 class Validity(str, Enum):
@@ -106,6 +108,21 @@ def canonical_json(value: Any) -> str:
     return json.dumps(
         value, sort_keys=True, separators=(",", ":"), ensure_ascii=False
     )
+
+
+@contextlib.contextmanager
+def atomic_write(path: Path, mode: str = "w") -> Iterator[IO]:
+    """Stream into <name>.tmp beside path; rename it over path when the
+    block ends, delete it on any exception. A killed writer leaves the old
+    file whole, plus a stale .tmp."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def content_hash(*parts: str) -> str:

@@ -16,6 +16,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import FeedbackUnit, PaperRecord, canonical_json, connected_components
+from .core import atomic_write
 from .errors import JudgeFormatError, PipelineError
 from .ingest import DatasetStore
 from .judge import EndpointConfig, JudgeClient, similar_pairs
@@ -373,9 +374,8 @@ class TrainingManifest:
         }
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(
-            canonical_json(self.to_dict()) + "\n", encoding="utf-8"
-        )
+        with atomic_write(Path(path)) as fh:
+            fh.write(canonical_json(self.to_dict()) + "\n")
 
 
 def _generation_prompt(paper: PaperRecord) -> str:
@@ -397,7 +397,7 @@ def build_sft(
     successful units only; reviewers with none contribute nothing."""
     out_path = Path(out_path)
     count = 0
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with atomic_write(out_path) as fh:
         for paper in store.papers(split):
             by_reviewer = paper.units_by_reviewer()
             for thread in paper.threads:
@@ -422,8 +422,8 @@ def build_sft(
                 }
                 fh.write(canonical_json(example) + "\n")
                 count += 1
-    if count == 0:
-        raise PipelineError(f"build_sft: no successful units in split {split!r}")
+        if count == 0:  # raised inside: the previous file stays
+            raise PipelineError(f"build_sft: no successful units in split {split!r}")
     return TrainingManifest(
         kind="sft",
         dataset_path=str(out_path),
@@ -544,7 +544,7 @@ def build_dpo(
     skip = on_skip or (lambda paper_id, reason: None)
     out_path = Path(out_path)
     count = 0
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with atomic_write(out_path) as fh:
         for paper in store.papers(split):
             labeled = [u for u in paper.units if u.is_labeled]
             if not labeled:
@@ -583,8 +583,8 @@ def build_dpo(
                     emitted += 1
             if emitted == 0:
                 skip(paper.paper_id, "no qualifying pair")
-    if count == 0:
-        raise PipelineError(f"build_dpo: no pairs produced for split {split!r}")
+        if count == 0:  # raised inside: the previous file stays
+            raise PipelineError(f"build_dpo: no pairs produced for split {split!r}")
     return TrainingManifest(
         kind="dpo",
         dataset_path=str(out_path),

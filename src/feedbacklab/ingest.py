@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .core import AuthorAction, Decision, PaperRecord, Validity, canonical_json
+from .core import atomic_write
 from .errors import IngestError, PipelineError
 
 FORMAT_VERSION = 1
@@ -35,8 +36,6 @@ DEFAULT_TEST_POOLS: tuple[tuple[int, int, int], ...] = (
 class DatasetStore:
     """An immutable corpus: manifest of splits plus loaded records."""
 
-    root_path: Path
-    format_version: int
     manifest: Mapping[str, tuple[str, ...]]
     records: Mapping[str, PaperRecord]
 
@@ -158,12 +157,7 @@ def load_corpus(root: str | Path) -> DatasetStore:
             )
         records.update(found)
 
-    return DatasetStore(
-        root_path=root,
-        format_version=FORMAT_VERSION,
-        manifest=manifest,
-        records=records,
-    )
+    return DatasetStore(manifest=manifest, records=records)
 
 
 def save_corpus(store: DatasetStore, root: str | Path) -> None:
@@ -171,23 +165,21 @@ def save_corpus(store: DatasetStore, root: str | Path) -> None:
     root = Path(root)
     (root / "records").mkdir(parents=True, exist_ok=True)
     manifest = {
-        "format_version": store.format_version,
+        "format_version": FORMAT_VERSION,
         "splits": {name: list(ids) for name, ids in sorted(store.manifest.items())},
     }
-    (root / "manifest.json").write_text(
-        canonical_json(manifest) + "\n", encoding="utf-8"
-    )
+    with atomic_write(root / "manifest.json") as fh:
+        fh.write(canonical_json(manifest) + "\n")
     for split, ids in sorted(store.manifest.items()):
-        lines = [canonical_json(store.records[pid].to_dict()) for pid in ids]
-        (root / "records" / f"{split}.jsonl").write_text(
-            "".join(line + "\n" for line in lines), encoding="utf-8"
-        )
+        with atomic_write(root / "records" / f"{split}.jsonl") as fh:
+            fh.writelines(
+                canonical_json(store.records[pid].to_dict()) + "\n" for pid in ids
+            )
 
 
 def make_store(
     records: Sequence[PaperRecord],
     splits: Mapping[str, Sequence[str]],
-    root: str | Path = ".",
 ) -> DatasetStore:
     """Assemble an in-memory store, applying the same validation as load."""
     by_id: dict[str, PaperRecord] = {}
@@ -208,12 +200,7 @@ def make_store(
                 )
             claimed[pid] = split
         manifest[split] = tuple(ids)
-    return DatasetStore(
-        root_path=Path(root),
-        format_version=FORMAT_VERSION,
-        manifest=manifest,
-        records=by_id,
-    )
+    return DatasetStore(manifest=manifest, records=by_id)
 
 
 def build_test_split(

@@ -33,7 +33,7 @@ from typing import (
     TypeVar,
 )
 
-from .core import canonical_json
+from .core import atomic_write, canonical_json
 from .errors import ConfigError, JudgeError, JudgeFormatError, PipelineError
 
 if TYPE_CHECKING:
@@ -760,7 +760,7 @@ class JudgeClient:
         except (KeyError, TypeError, ValueError):
             intact = False
         if not intact:
-            # A torn segment (say, from a killed run) is a miss for all
+            # A torn segment (say, after a power loss) is a miss for all
             # its keys; the call that misses them rewrites it.
             logger.warning(
                 "judge cache: unreadable entry %s, treated as a miss", path.name
@@ -801,8 +801,8 @@ class JudgeClient:
         records: Sequence[tuple[str, bytes]],
         pending: dict[str, bytes] | None = None,
     ) -> None:
-        """Write (key, record) pairs as one segment (a tmp file, then a
-        rename) and index them; the written keys leave `pending`."""
+        """Write (key, record) pairs as one segment and index them; the
+        written keys leave `pending`."""
         if not self.cache_dir:
             return
         keys = [key for key, _ in records]
@@ -810,11 +810,9 @@ class JudgeClient:
         name = hashlib.sha256("".join(keys).encode("ascii")).hexdigest()
         path = self.cache_dir / f"{kind}-{name}.bin"
         with self._lock:
-            tmp = path.with_suffix(".tmp")
-            with open(tmp, "wb") as fh:
+            with atomic_write(path, "wb") as fh:
                 fh.write(header)
                 fh.writelines(record for _, record in records)
-            tmp.replace(path)
             self._segment_index()
             self._index_records(
                 path, len(header), keys, (len(record) for _, record in records)

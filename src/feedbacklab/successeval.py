@@ -27,6 +27,10 @@ class SuccessMode(str, Enum):
     VALIDITY_ONLY = "validity_only"
     ACTION_ONLY = "action_only"
 
+    def filters_quality(self, in_proxy_modes: bool) -> bool:
+        """Combined is always quality-filtered; the flag governs the rest."""
+        return in_proxy_modes or self is SuccessMode.COMBINED
+
 
 @dataclass(frozen=True)
 class QualityScores:
@@ -214,7 +218,8 @@ def bootstrap_eval(
     Within an iteration the drawn units pool across papers into one
     rate per mode; the report gives the mean and percentile 95% CI over
     iterations. Per-paper generators derive from (seed, paper_id), so
-    paper order cannot change the draws.
+    paper order cannot change the draws. quality_filter governs the
+    proxy modes only; the combined rate is always filtered.
     """
     if iterations < 2:
         raise PipelineError("bootstrap_eval: iterations must be >= 2")
@@ -223,6 +228,7 @@ def bootstrap_eval(
     if not per_paper:
         raise PipelineError("bootstrap_eval: no papers")
     modes = list(SuccessMode)
+    filtered = {mode: mode.filters_quality(quality_filter) for mode in modes}
     b = iterations
     numer = {mode: np.zeros(b) for mode in modes}
     denom = np.zeros(b)
@@ -233,7 +239,7 @@ def bootstrap_eval(
         n = len(evaluations)
         passes = {
             mode: np.array(
-                [e.succeeds(mode, quality_filter) for e in evaluations],
+                [e.succeeds(mode, filtered[mode]) for e in evaluations],
                 dtype=float,
             )
             for mode in modes

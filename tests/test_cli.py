@@ -1,9 +1,11 @@
+import fcntl
 import hashlib
 import json
 import logging
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 
 import feedbacklab
 from feedbacklab.cli import COMMANDS, main, run
-from feedbacklab.config import JUDGE_TASKS, config_hash, load_config
+from feedbacklab.config import JUDGE_TASKS, config_hash, load_config, parse_config
 from feedbacklab.consensus import HUMAN_HUMAN, HUMAN_MODEL, stratum_bounds
 from feedbacklab.core import (
     AuthorAction,
@@ -62,6 +64,15 @@ def snapshot(root: Path) -> dict[str, str]:
     }
 
 
+def assert_unlocked(run_dir: Path) -> None:
+    """A fresh non-blocking flock on the run's lock file succeeds."""
+    fd = os.open(run_dir / "lock", os.O_RDWR)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    finally:
+        os.close(fd)
+
+
 def only_run_dir(runs_root: Path) -> Path:
     dirs = [p for p in runs_root.iterdir() if p.is_dir()]
     assert len(dirs) == 1
@@ -107,7 +118,7 @@ def test_consensus_eval_golden(tmp_path, capsys):
         "log.jsonl",
     ):
         assert (run_dir / name).exists(), name
-    assert not (run_dir / "lock").exists()
+    assert_unlocked(run_dir)
 
     report = read_report(run_dir)
     expected_members = sorted(
@@ -233,29 +244,53 @@ def test_report_on_a_damaged_stored_report_exits_3(tmp_path, capsys, damage):
     assert "rerun the pipeline command" in err and "Traceback" not in err
 
 
-def test_locked_run_dir_fails_cleanly(tmp_path):
+HOLD_LOCK = """
+import fcntl, os, sys
+fd = os.open(sys.argv[1], os.O_CREAT | os.O_RDWR)
+fcntl.flock(fd, fcntl.LOCK_EX)
+print("locked", flush=True)
+sys.stdin.read()
+"""
+
+
+def test_locked_run_dir_fails_cleanly(tmp_path, capsys):
     config = load_config(
         FIXTURE_CONFIG, [f"paths.runs_root={tmp_path}"]
     )
     run_dir = tmp_path / config_hash(config)[:16]
     run_dir.mkdir(parents=True)
-    (run_dir / "lock").write_text("12345")
-    rc = main(
-        [
-            "consensus-eval",
-            "--config",
-            FIXTURE_CONFIG,
-            "--set",
-            f"paths.runs_root={tmp_path}",
-        ]
-    )
-    assert rc == 3
-    # the foreign lock stays: failing to acquire must not release it
-    assert (run_dir / "lock").exists()
+    args = [
+        "consensus-eval",
+        "--config",
+        FIXTURE_CONFIG,
+        "--set",
+        f"paths.runs_root={tmp_path}",
+    ]
+    # another process holds the run directory's lock
+    with subprocess.Popen(
+        [sys.executable, "-c", HOLD_LOCK, str(run_dir / "lock")],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+    ) as holder:
+        try:
+            assert holder.stdout.readline() == "locked\n"
+            assert main(args) == 3
+            err = capsys.readouterr().err
+            assert err == (
+                f"error: run directory {run_dir} is locked by another process\n"
+            )
+            # failing to acquire must not release the holder's lock
+            with pytest.raises(BlockingIOError):
+                assert_unlocked(run_dir)
+        finally:
+            holder.kill()
+    # the kernel dropped the lock when its holder was killed
+    assert main(args) == 0
 
 
 def test_lock_released_after_failure(tmp_path):
-    # missing stored report raises inside the context; lock still goes away
+    # missing stored report raises inside the context; the lock is released
     config = load_config(
         FIXTURE_CONFIG, [f"paths.runs_root={tmp_path}"]
     )
@@ -269,7 +304,16 @@ def test_lock_released_after_failure(tmp_path):
         ]
     ) == 3
     run_dir = tmp_path / config_hash(config)[:16]
-    assert run_dir.exists() and not (run_dir / "lock").exists()
+    assert_unlocked(run_dir)
+
+
+def test_readme_config_example_parses(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1]
+    example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    (tmp_path / example["stub_fixture"]).write_text("{}")
+    config = parse_config(example, base_dir=tmp_path)
+    assert set(config.endpoints) == set(example["endpoints"])
 
 
 # ---- exit codes ----
@@ -624,6 +668,73 @@ def test_forge_dpo_logs_skipped_papers_in_paper_order(tmp_path):
     assert snapshot(run_dir) == before
 
 
+KILLED_FORGE_DPO = """
+import os, signal, sys
+from feedbacklab import cli, judge
+
+embed = judge.JudgeClient.embed
+calls = []
+
+def dying_embed(self, *args):
+    calls.append(1)
+    if len(calls) == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return embed(self, *args)
+
+judge.JudgeClient.embed = dying_embed
+sys.exit(cli.main(["forge-dpo", "--config", sys.argv[1]]))
+"""
+
+
+def outside_cache(run_dir: Path) -> dict[str, str]:
+    return {
+        name: digest
+        for name, digest in snapshot(run_dir).items()
+        if not name.startswith("cache/")
+    }
+
+
+def test_forge_dpo_killed_mid_write_leaves_the_run_directory_whole(tmp_path):
+    p2 = synth_paper(
+        "p2",
+        [
+            labeled_unit("p2", "R1", "a lone strong point"),
+            labeled_unit("p2", "R1", "a lone weak point", successful=False),
+        ],
+    )
+    cfg = forge_dpo_setup(tmp_path, other_papers=(p2,))
+    for command in ("forge-dpo", "forge-sft", "forge-dpo"):
+        assert main([command, "--config", cfg]) == 0
+    run_dir = only_run_dir(tmp_path / "runs")
+    clean = outside_cache(run_dir)
+
+    # A warm forge-dpo dies at p2's embed call, while dpo.jsonl is open.
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(
+            [str(Path(feedbacklab.__file__).parents[1])]
+            + list(filter(None, [os.environ.get("PYTHONPATH")]))
+        ),
+    }
+    killed = subprocess.run(
+        [sys.executable, "-c", KILLED_FORGE_DPO, cfg],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert killed.returncode == -signal.SIGKILL
+    after_kill = outside_cache(run_dir)
+    for name in ("artifacts/dpo.jsonl", "artifacts/dpo_manifest.json"):
+        assert after_kill[name] == clean[name]
+    assert "artifacts/dpo.jsonl.tmp" in after_kill
+
+    # No stale lock blocks a different command, and it clears the tmp file.
+    assert main(["forge-sft", "--config", cfg]) == 0
+    assert list(run_dir.rglob("*.tmp")) == []
+    assert main(["forge-dpo", "--config", cfg]) == 0
+    assert outside_cache(run_dir) == clean
+
+
 def test_calibrate_command(tmp_path):
     bounds = stratum_bounds()
     hh_matches = [0, 0, 0, 0, 1, 13, 15]
@@ -765,6 +876,53 @@ def test_success_eval_command(tmp_path):
         {"event": "skip_paper", "paper_id": pid, "reason": "no model feedback"}
         for pid in ("p0", "p2")
     ] + [{"event": "success_eval", "papers": 1, "units": 2}]
+
+
+def test_success_eval_combined_row_filters_quality_whatever_the_flag(tmp_path):
+    # Every unit fails quality but is predicted agreed/will_revise. With
+    # the proxy-mode filter off, only the proxy rows count them; both
+    # columns of the combined row stay quality-filtered.
+    write_corpus(tmp_path / "corpus", [synth_paper("p1", [])])
+    (tmp_path / "model.jsonl").write_text(
+        "".join(
+            canonical_json({"paper_id": "p1", "text": f"point {i}"}) + "\n"
+            for i in range(3)
+        )
+    )
+    weak = {
+        d: {"score": 1, "justification": "weak"}
+        for d in (
+            "accuracy",
+            "prioritisation",
+            "constructive_tone",
+            "paper_specific_grounding",
+            "actionability",
+        )
+    }
+    stub = {
+        "templates": {
+            "quality_score": {"default": weak},
+            "response_predict": {
+                "default": {"validity": "agreed", "author_action": "will_revise"}
+            },
+        }
+    }
+    (tmp_path / "stub.json").write_text(json.dumps(stub))
+    cfg = write_config(
+        tmp_path / "config.json",
+        stub_fixture="stub.json",
+        flags={"quality_filter_in_proxy_modes": False},
+        paths={
+            "corpus_root": "corpus",
+            "model_feedback": "model.jsonl",
+            "runs_root": "runs",
+        },
+    )
+    assert main(["success-eval", "--config", cfg]) == 0
+    rates = table_dict(read_report(only_run_dir(tmp_path / "runs")), "success_rates")
+    assert rates["combined"] == ["0.000", "0.000", "0.000", "0.000", "0.000"]
+    for mode in ("validity_only", "action_only"):
+        assert rates[mode] == ["1.000", "1.000", "1.000", "1.000", "0.000"]
 
 
 def assert_same_bytes_at_any_concurrency(tmp_path, command, cfg, *extra):

@@ -16,6 +16,7 @@ from feedbacklab.core import (
     Speaker,
     Turn,
     Validity,
+    atomic_write,
     canonical_json,
     connected_components,
     content_hash,
@@ -101,6 +102,21 @@ def test_canonical_json_is_sorted_and_compact():
 def test_canonical_json_round_trip(d):
     s = canonical_json(d)
     assert canonical_json(json.loads(s)) == s
+
+
+def test_atomic_write_replaces_the_file_whole_or_not_at_all(tmp_path):
+    path = tmp_path / "out.jsonl"
+    path.write_text("old\n")
+    with pytest.raises(KeyboardInterrupt):
+        with atomic_write(path) as fh:
+            fh.write("partial")
+            raise KeyboardInterrupt
+    assert path.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [path]
+    with atomic_write(path, "wb") as fh:
+        fh.write(b"new\n")
+    assert path.read_bytes() == b"new\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_content_hash_separator_prevents_collisions():

@@ -443,8 +443,13 @@ def test_build_sft(tmp_path):
 def test_build_sft_requires_successful_units(tmp_path):
     p1 = paper("p1", [hunit("p1", "r1", "meh", successful=False)])
     store = make_store([p1], {"train": ["p1"]})
+    out = tmp_path / "sft.jsonl"
+    out.write_text("earlier\n")
     with pytest.raises(PipelineError, match="no successful"):
-        build_sft(store, "train", tmp_path / "sft.jsonl")
+        build_sft(store, "train", out)
+    # a failed build leaves the earlier file, and no .tmp beside it
+    assert out.read_text() == "earlier\n"
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_build_sft_requires_body(tmp_path):

@@ -378,8 +378,10 @@ def test_bootstrap_quality_filter_flag():
         {"p1": evs}, k=5, iterations=10, seed=0, quality_filter=False
     )
     assert filtered["quality_filter"] is True
-    assert filtered["combined"]["mean"] == 0.0
-    assert raw["combined"]["mean"] == 1.0
+    assert filtered["validity_only"]["mean"] == 0.0
+    assert raw["validity_only"]["mean"] == 1.0
+    # the flag governs the proxy modes; combined is always filtered
+    assert filtered["combined"]["mean"] == raw["combined"]["mean"] == 0.0
 
 
 def test_bootstrap_validation():
