@@ -46,7 +46,7 @@ _SUBMODULE_OF = {
         "report": "EvalReport ReportTable render_report",
         "stats": (
             "ContingencyTable cohen_kappa fisher_exact krippendorff_alpha "
-            "kruskal_wallis mann_whitney_u pabak percentile_bootstrap"
+            "kruskal_wallis mann_whitney_u pabak"
         ),
         "successeval": (
             "SuccessMode UnitEvaluation bootstrap_eval evaluate_unit "

@@ -39,17 +39,6 @@ from .judge import HttpBackend, JudgeClient, StubBackend
 from .prompts import prompt_versions
 from .report import EvalReport, ReportTable, render_report
 
-COMMANDS = (
-    "ingest",
-    "parse",
-    "forge-sft",
-    "forge-dpo",
-    "calibrate",
-    "consensus-eval",
-    "success-eval",
-    "report",
-)
-
 RUN_ID_CHARS = 16
 
 
@@ -758,6 +747,7 @@ _HANDLERS: dict[str, Callable[[RunContext], EvalReport]] = {
     "success-eval": cmd_success_eval,
     "report": cmd_report,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def run(command: str, config: PipelineConfig) -> EvalReport:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -29,6 +29,10 @@ JUDGE_TASKS = (
 )
 
 MODES = ("stub", "live")
+
+# Endpoint settings that change how fast results arrive, not what they
+# are; they stay out of the config hash.
+THROUGHPUT_FIELDS = ("requests_per_minute", "max_concurrency")
 
 FILTER_DIMENSIONS = (
     "accuracy",
@@ -56,10 +60,6 @@ class QualityThresholds:
             value = getattr(self, dim)
             if not 1.0 <= value <= 5.0:
                 raise ConfigError(f"threshold {dim}={value} outside [1,5]")
-
-    def as_dict(self) -> dict[str, float]:
-        return {dim: getattr(self, dim) for dim in FILTER_DIMENSIONS}
-
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,8 @@ class Sampling:
         ):
             if getattr(self, name) < 0:
                 errors.append(f"sampling.{name} must be >= 0")
+        if self.seed < 0:
+            errors.append(f"sampling.seed={self.seed} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -169,44 +171,20 @@ class PipelineConfig:
     def as_dict(self) -> dict[str, Any]:
         """Semantic content only; used for hashing and display.
 
-        Endpoint throughput settings (requests_per_minute,
-        max_concurrency) change no result, so they stay out: raising
-        them reuses the run directory and its cache.
+        Every field enters except base_dir, against which paths and
+        stub_fixture enter resolved, and each endpoint's
+        THROUGHPUT_FIELDS, which change no result: raising them reuses
+        the run directory and its cache.
         """
-        endpoints = {}
-        for task in sorted(self.endpoints):
-            e = self.endpoints[task]
-            endpoints[task] = {
-                "base_url": e.base_url,
-                "model_name": e.model_name,
-                "api_key_env": e.api_key_env,
-                "max_output_tokens": e.max_output_tokens,
-                "temperature": e.temperature,
-                "extra_params": dict(e.extra_params),
-            }
+        out = asdict(self)
+        del out["base_dir"]
+        for endpoint in out["endpoints"].values():
+            for name in THROUGHPUT_FIELDS:
+                del endpoint[name]
         fixture = self.stub_fixture_path()
-        return {
-            "mode": self.mode,
-            "split": self.split,
-            "stub_fixture": str(fixture) if fixture else "",
-            "endpoints": endpoints,
-            "thresholds": {
-                "dedup": self.thresholds.dedup,
-                "human_human": self.thresholds.human_human,
-                "human_model": self.thresholds.human_model,
-                "delta": self.thresholds.delta,
-                "match_rate_cutoff": self.thresholds.match_rate_cutoff,
-                "quality": self.thresholds.quality.as_dict(),
-            },
-            "sampling": {
-                f.name: getattr(self.sampling, f.name)
-                for f in fields(self.sampling)
-            },
-            "paths": self.resolved_paths(),
-            "flags": {
-                f.name: getattr(self.flags, f.name) for f in fields(self.flags)
-            },
-        }
+        out["stub_fixture"] = str(fixture) if fixture else ""
+        out["paths"] = self.resolved_paths()
+        return out
 
 
 def config_hash(config: PipelineConfig) -> str:
@@ -262,7 +240,8 @@ def _has_type_of(value: Any, default: Any) -> bool:
 
 def _build_section(cls, data: Any, name: str, errors: list[str]):
     """cls from a config object; an unknown key or a value of the wrong
-    type is reported and left at its default."""
+    type is reported and left at its default. A field whose default is
+    a dataclass is built the same way, one level down."""
     defaults = {
         f.name: f.default if f.default is not MISSING else f.default_factory()
         for f in fields(cls)
@@ -272,6 +251,10 @@ def _build_section(cls, data: Any, name: str, errors: list[str]):
     for key in sorted(data):
         if key not in defaults:
             errors.append(f"{name}.{key} is not a recognized setting")
+        elif is_dataclass(defaults[key]):
+            kwargs[key] = _build_section(
+                type(defaults[key]), data[key], f"{name}.{key}", errors
+            )
         elif not _has_type_of(data[key], defaults[key]):
             expected = _TYPE_NAMES[type(defaults[key])]
             errors.append(f"{name}.{key} must be {expected}")
@@ -295,16 +278,7 @@ def parse_config(
     for spec in overrides:
         _apply_override(merged, spec, errors)
 
-    known_top = {
-        "mode",
-        "split",
-        "stub_fixture",
-        "endpoints",
-        "thresholds",
-        "sampling",
-        "paths",
-        "flags",
-    }
+    known_top = {f.name for f in fields(PipelineConfig)} - {"base_dir"}
     for key in sorted(set(merged) - known_top):
         errors.append(f"unknown config key {key!r}")
 
@@ -336,15 +310,9 @@ def parse_config(
                     f"live mode: judge task {task!r} has no endpoint base_url"
                 )
 
-    thresholds_data = dict(_object(merged.get("thresholds", {}), "thresholds", errors))
-    if "quality" in thresholds_data:
-        thresholds_data["quality"] = _build_section(
-            QualityThresholds,
-            thresholds_data["quality"],
-            "thresholds.quality",
-            errors,
-        )
-    thresholds = _build_section(Thresholds, thresholds_data, "thresholds", errors)
+    thresholds = _build_section(
+        Thresholds, merged.get("thresholds", {}), "thresholds", errors
+    )
     sampling = _build_section(
         Sampling, merged.get("sampling", {}), "sampling", errors
     )

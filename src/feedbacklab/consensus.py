@@ -14,6 +14,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .config import Thresholds
 from .core import FeedbackUnit, connected_components
 from .errors import ConfigError, PipelineError
 from .judge import EndpointConfig, JudgeClient, similar_pairs
@@ -21,7 +22,6 @@ from .prompts import PAIR_MATCH
 from .stats import ci_summary, draw_without_replacement, keyed_rng
 
 DEFAULT_BOUNDARIES: tuple[float, ...] = (0.15, 0.25, 0.35, 0.45, 0.55, 0.65)
-DEFAULT_MATCH_RATE_CUTOFF = 0.1
 # Published rounded stratum weights can miss 1.0 by up to rounding error.
 WEIGHT_SUM_TOLERANCE = 0.005
 
@@ -181,7 +181,7 @@ def build_stratum_table(
 
 
 def calibrate_threshold(
-    table: StratumTable, cutoff: float = DEFAULT_MATCH_RATE_CUTOFF
+    table: StratumTable, cutoff: float = Thresholds.match_rate_cutoff
 ) -> float:
     """Lower bound of the lowest stratum whose match rate reaches cutoff.
 

@@ -15,6 +15,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .config import Sampling, Thresholds
 from .core import FeedbackUnit, PaperRecord, canonical_json, connected_components
 from .core import atomic_write
 from .errors import JudgeFormatError, PipelineError
@@ -22,10 +23,6 @@ from .ingest import DatasetStore
 from .judge import EndpointConfig, JudgeClient, similar_pairs
 from .prompts import CORRUPTION, CORRUPTION_DIMENSIONS, CORRUPTION_VERIFY
 from .stats import keyed_rng
-
-DEDUP_THRESHOLD = 0.5
-SUCCESS_DELTA = 2
-SET_SIZE = 5
 
 GENERATION_PROMPT_VERSION = "1"
 GENERATION_PROMPT = (
@@ -284,7 +281,7 @@ def aggregate_filter_stats(
 def dedup_units(
     units: Sequence[FeedbackUnit],
     embeddings: Sequence[np.ndarray],
-    threshold: float = DEDUP_THRESHOLD,
+    threshold: float = Thresholds.dedup,
     seed: int = 0,
 ) -> list[FeedbackUnit]:
     """Drop near-duplicates by transitive cosine clustering.
@@ -320,6 +317,7 @@ class PreferencePair:
     pair_kind: str
     chosen_success_count: int
     rejected_success_count: int
+    delta: int = Thresholds.delta  # real_label floor; not written out
 
     def __post_init__(self) -> None:
         if self.pair_kind not in ("real_label", "corruption"):
@@ -329,12 +327,12 @@ class PreferencePair:
         if (
             self.pair_kind == "real_label"
             and self.chosen_success_count - self.rejected_success_count
-            < SUCCESS_DELTA
+            < self.delta
         ):
             raise PipelineError(
                 f"real_label pair for {self.paper_id}: success delta "
                 f"{self.chosen_success_count - self.rejected_success_count} "
-                f"< {SUCCESS_DELTA}"
+                f"< {self.delta}"
             )
 
     def to_dict(self, prompt: str) -> dict[str, Any]:
@@ -480,6 +478,7 @@ def _draw_real_pair(
         pair_kind="real_label",
         chosen_success_count=s_c,
         rejected_success_count=s_r,
+        delta=delta,
     )
 
 
@@ -522,9 +521,9 @@ def build_dpo(
     corruption_bank: Mapping[str, Sequence[CorruptionVariant]],
     out_path: str | Path,
     embed_fn: Callable[[Sequence[str]], Sequence[np.ndarray]],
-    k: int = SET_SIZE,
-    delta: int = SUCCESS_DELTA,
-    dedup_threshold: float = DEDUP_THRESHOLD,
+    k: int = Sampling.k,
+    delta: int = Thresholds.delta,
+    dedup_threshold: float = Thresholds.dedup,
     pairs_per_paper: int = 1,
     corruption_pairs_per_paper: int = 1,
     seed: int = 0,

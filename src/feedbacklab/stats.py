@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -64,35 +64,6 @@ def _as_table(table: Any) -> ContingencyTable:
     if isinstance(table, ContingencyTable):
         return table
     return ContingencyTable(tuple(tuple(row) for row in table))
-
-
-@dataclass(frozen=True)
-class CIReport:
-    """Point estimate with 95% percentile bootstrap bounds."""
-
-    point_estimate: float
-    lower: float
-    upper: float
-    iterations: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.lower > self.upper:
-            raise StatsError("CI lower bound exceeds upper bound")
-
-    @property
-    def half_width(self) -> float:
-        return (self.upper - self.lower) / 2.0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "point_estimate": self.point_estimate,
-            "lower": self.lower,
-            "upper": self.upper,
-            "half_width": self.half_width,
-            "iterations": self.iterations,
-            "seed": self.seed,
-        }
 
 
 def observed_agreement(table: Any) -> float:
@@ -406,50 +377,12 @@ def draw_without_replacement(
     return np.argpartition(keys, k - 1, axis=1)[:, :k]
 
 
-def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    """Independent child generators; aggregation over them is
-    order-free because each child stream is derived, not shared."""
-    seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(count)]
-
-
-def percentile_bootstrap(
-    sampler: Callable[[np.random.Generator], float],
-    iterations: int,
-    seed: int,
-) -> CIReport:
-    """Mean of B sampler draws with 2.5/97.5 percentile bounds.
-
-    Each iteration gets its own derived generator, so results do not
-    depend on evaluation order.
-    """
-    if iterations < 2:
-        raise StatsError("percentile_bootstrap: need at least 2 iterations")
-    draws = np.array(
-        [float(sampler(rng)) for rng in spawn_rngs(seed, iterations)]
-    )
-    lower, upper = np.percentile(draws, [2.5, 97.5])
-    return CIReport(
-        point_estimate=float(draws.mean()),
-        lower=float(lower),
-        upper=float(upper),
-        iterations=iterations,
-        seed=seed,
-    )
-
-
-def percentile_ci(draws: Iterable[float]) -> tuple[float, float]:
-    """2.5/97.5 percentile bounds with linear interpolation."""
-    arr = np.asarray(list(draws), dtype=float)
-    if arr.size < 2:
-        raise StatsError("percentile_ci: need at least 2 draws")
-    lower, upper = np.percentile(arr, [2.5, 97.5])
-    return float(lower), float(upper)
-
-
 def ci_summary(draws: np.ndarray) -> dict[str, float]:
-    """Mean of bootstrap draws with 95% percentile bounds and half-width."""
-    lower, upper = percentile_ci(draws)
+    """Mean of bootstrap draws with 2.5/97.5 percentile bounds (linear
+    interpolation) and half-width."""
+    if draws.size < 2:
+        raise StatsError("ci_summary: need at least 2 draws")
+    lower, upper = (float(v) for v in np.percentile(draws, [2.5, 97.5]))
     return {
         "mean": float(draws.mean()),
         "ci_lower": lower,

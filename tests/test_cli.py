@@ -1,3 +1,4 @@
+import dataclasses
 import fcntl
 import hashlib
 import json
@@ -14,7 +15,13 @@ import pytest
 
 import feedbacklab
 from feedbacklab.cli import COMMANDS, main, run
-from feedbacklab.config import JUDGE_TASKS, config_hash, load_config, parse_config
+from feedbacklab.config import (
+    JUDGE_TASKS,
+    THROUGHPUT_FIELDS,
+    config_hash,
+    load_config,
+    parse_config,
+)
 from feedbacklab.consensus import HUMAN_HUMAN, HUMAN_MODEL, stratum_bounds
 from feedbacklab.core import (
     AuthorAction,
@@ -342,6 +349,11 @@ def test_bad_config_exits_2(tmp_path):
         ({"paths": {"corpus_root": 1}}, "paths.corpus_root must be a string"),
         ({"flags": {"macro": 1}}, "flags.macro must be a boolean"),
         ({"stub_fixture": 5}, "stub_fixture must be a string"),
+        ({"sampling": {"seed": -1}}, "sampling.seed=-1 must be >= 0"),
+        (
+            {"thresholds": {"quality": {"accuracy": "x"}}},
+            "thresholds.quality.accuracy must be a number",
+        ),
     ],
 )
 def test_malformed_config_section_exits_2(tmp_path, capsys, data, message):
@@ -1192,6 +1204,52 @@ def test_throughput_settings_do_not_change_the_run_id(tmp_path):
     assert config_hash(load_config(cfg_a)) == config_hash(load_config(cfg_b))
     other_model = load_config(cfg_a, ["endpoints.quality_score.model_name=b"])
     assert config_hash(other_model) != config_hash(load_config(cfg_a))
+    # Every other setting, down to each leaf, mints a new run id.
+    base = load_config(cfg_a)
+    walked = set()
+    for name, changed in leaf_variants(base):
+        walked.add(name)
+        throughput = name.rsplit(".", 1)[-1] in THROUGHPUT_FIELDS
+        assert (config_hash(changed) == config_hash(base)) == throughput, name
+    assert {
+        "base_dir",
+        "endpoints.quality_score.extra_params",
+        "endpoints.quality_score.max_concurrency",
+        "thresholds.quality.accuracy",
+        "flags.macro",
+    } <= walked
+
+
+def other_value(value):
+    """A different value of value's type, valid wherever it stands."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value / 2 if value else 0.5
+    if isinstance(value, str):
+        return "live" if value == "stub" else value + "x"
+    if isinstance(value, Path):
+        return value / "x"
+    return {**value, "top_p": 0.9}
+
+
+def leaf_variants(obj, prefix=""):
+    """(dotted name, obj with only that leaf changed) for every leaf
+    field under the dataclass obj, each configured endpoint's included."""
+    for f in dataclasses.fields(obj):
+        name, value = prefix + f.name, getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            for leaf, changed in leaf_variants(value, name + "."):
+                yield leaf, dataclasses.replace(obj, **{f.name: changed})
+        elif f.name == "endpoints":
+            for task, endpoint in value.items():
+                for leaf, changed in leaf_variants(endpoint, f"{name}.{task}."):
+                    endpoints = {**value, task: changed}
+                    yield leaf, dataclasses.replace(obj, endpoints=endpoints)
+        else:
+            yield name, dataclasses.replace(obj, **{f.name: other_value(value)})
 
 
 def test_cli_import_loads_no_heavy_packages():

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from feedbacklab.config import Sampling, Thresholds
 from feedbacklab.core import (
     AuthorAction,
     FeedbackUnit,
@@ -19,11 +20,8 @@ from feedbacklab.core import (
 )
 from feedbacklab.errors import JudgeFormatError, PipelineError
 from feedbacklab.forge import (
-    DEDUP_THRESHOLD,
     DPO_HYPERPARAMETERS,
-    SET_SIZE,
     SFT_HYPERPARAMETERS,
-    SUCCESS_DELTA,
     CorruptionVariant,
     PreferencePair,
     TrainingManifest,
@@ -330,7 +328,7 @@ def test_dedup_matches_connected_components_oracle():
         units = [hunit("p1", "r1", f"trial {trial} unit {i}") for i in range(n)]
         vecs = rng.normal(size=(n, 3))
         adj = [
-            [cosine_check(vecs[i], vecs[j]) > DEDUP_THRESHOLD for j in range(n)]
+            [cosine_check(vecs[i], vecs[j]) > Thresholds.dedup for j in range(n)]
             for i in range(n)
         ]
         seen: set[int] = set()
@@ -402,7 +400,7 @@ def test_dpo_hyperparameters():
         "ring_attention_size": 8,
         "head_stride": 2,
     }
-    assert SUCCESS_DELTA == 2 and SET_SIZE == 5 and DEDUP_THRESHOLD == 0.5
+    assert Thresholds.delta == 2 and Sampling.k == 5 and Thresholds.dedup == 0.5
 
 
 # ---- SFT ----
@@ -579,15 +577,30 @@ def test_build_dpo_real_pairs_honor_delta_and_disjointness(tmp_path):
     for rec in lines:
         assert rec["pair_kind"] == "real_label"
         chosen, rejected = rec["chosen_items"], rec["rejected_items"]
-        assert len(chosen) == SET_SIZE and len(rejected) == SET_SIZE
+        assert len(chosen) == Sampling.k and len(rejected) == Sampling.k
         assert not set(chosen) & set(rejected)
         # recompute success counts from the corpus labels
         c = sum(text_success[t] for t in chosen)
         r = sum(text_success[t] for t in rejected)
         assert c == rec["chosen_success_count"]
         assert r == rec["rejected_success_count"]
-        assert c - r >= SUCCESS_DELTA
+        assert c - r >= Thresholds.delta
         assert rec["chosen"] == "\n\n".join(chosen)
+
+
+def test_build_dpo_with_delta_one_keeps_pairs_one_apart(tmp_path):
+    out = tmp_path / "dpo.jsonl"
+    manifest = build_dpo(
+        dpo_store(), "train", {}, out, orthogonal_embed,
+        delta=1, pairs_per_paper=3, seed=0,
+    )
+    gaps = [
+        rec["chosen_success_count"] - rec["rejected_success_count"]
+        for rec in map(json.loads, out.read_text().splitlines())
+        if rec["pair_kind"] == "real_label"
+    ]
+    assert manifest.record_count == len(gaps) > 0
+    assert min(gaps) == 1
 
 
 def test_build_dpo_chosen_successful_only(tmp_path):
@@ -604,7 +617,7 @@ def test_build_dpo_chosen_successful_only(tmp_path):
     )
     for line in out.read_text().splitlines():
         rec = json.loads(line)
-        assert rec["chosen_success_count"] == SET_SIZE
+        assert rec["chosen_success_count"] == Sampling.k
 
 
 def test_build_dpo_corruption_pairs_swap_one_slot(tmp_path):

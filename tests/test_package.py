@@ -27,7 +27,7 @@ EXPORTS = [
     "is_actionable", "krippendorff_alpha", "kruskal_wallis",
     "load_annotations", "load_config", "load_corpus", "majority_vote",
     "make_unit_id", "mann_whitney_u", "pabak", "parse_config",
-    "parse_papers", "parse_thread", "percentile_bootstrap",
+    "parse_papers", "parse_thread",
     "prefilter_pairs", "render_report", "save_corpus", "score_model",
     "success_indicator", "success_rate", "verify_and_filter",
 ]

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from feedbacklab.errors import StatsError
 from feedbacklab.stats import (
-    CIReport,
     ContingencyTable,
     _chi2_sf,
+    ci_summary,
     cohen_kappa,
     draw_without_replacement,
     fisher_exact,
@@ -23,8 +23,6 @@ from feedbacklab.stats import (
     mann_whitney_u,
     observed_agreement,
     pabak,
-    percentile_bootstrap,
-    percentile_ci,
 )
 
 # ---- agreement ----
@@ -349,19 +347,6 @@ def test_kruskal_wallis_degenerate():
 # ---- bootstrap plumbing ----
 
 
-def test_percentile_bootstrap_deterministic():
-    def sampler(rng):
-        return float(rng.random())
-
-    a = percentile_bootstrap(sampler, iterations=200, seed=3)
-    b = percentile_bootstrap(sampler, iterations=200, seed=3)
-    assert a == b
-    c = percentile_bootstrap(sampler, iterations=200, seed=4)
-    assert a != c
-    assert a.lower <= a.point_estimate <= a.upper
-    assert a.half_width == pytest.approx((a.upper - a.lower) / 2)
-
-
 def _sha256_rng(seed, *key):
     # The per-paper / per-unit derivation keyed_rng replaced.
     digest = hashlib.sha256("\x1f".join(key).encode("utf-8")).digest()
@@ -394,19 +379,13 @@ def test_draw_without_replacement():
     assert np.array_equal(idx, ref)
 
 
-def test_percentile_ci_matches_numpy():
-    draws = list(range(101))
-    lo, hi = percentile_ci(draws)
-    ref_lo, ref_hi = np.percentile(np.array(draws, dtype=float), [2.5, 97.5])
-    assert lo == pytest.approx(float(ref_lo), abs=1e-12)
-    assert hi == pytest.approx(float(ref_hi), abs=1e-12)
+def test_ci_summary_matches_numpy():
+    draws = np.arange(101, dtype=float)
+    out = ci_summary(draws)
+    ref_lo, ref_hi = np.percentile(draws, [2.5, 97.5])
+    assert out["ci_lower"] == pytest.approx(float(ref_lo), abs=1e-12)
+    assert out["ci_upper"] == pytest.approx(float(ref_hi), abs=1e-12)
+    assert out["mean"] == 50.0
+    assert out["ci_half_width"] == pytest.approx((ref_hi - ref_lo) / 2, abs=1e-12)
     with pytest.raises(StatsError):
-        percentile_ci([1.0])
-
-
-def test_ci_report_validation():
-    with pytest.raises(StatsError):
-        CIReport(point_estimate=0.5, lower=0.9, upper=0.1, iterations=10, seed=0)
-    r = CIReport(point_estimate=0.5, lower=0.4, upper=0.6, iterations=10, seed=0)
-    d = r.to_dict()
-    assert d["half_width"] == pytest.approx(0.1)
+        ci_summary(np.array([1.0]))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -99,7 +100,7 @@ def test_filter_dimensions_and_default_thresholds():
     assert t.paper_specific_grounding == 4.36
     assert t.constructive_tone == 4.62
     assert t.prioritisation == 4.44
-    assert t.as_dict() == {
+    assert dataclasses.asdict(t) == {
         "accuracy": 4.37,
         "paper_specific_grounding": 4.36,
         "constructive_tone": 4.62,
