@@ -35,8 +35,8 @@ _SUBMODULE_OF = {
             "corrupt dedup_units verify_and_filter"
         ),
         "ingest": (
-            "AnnotationRecord DatasetStore build_test_split load_annotations "
-            "load_corpus majority_vote save_corpus"
+            "AnnotationRecord DatasetStore load_annotations load_corpus "
+            "majority_vote save_corpus"
         ),
         "judge": (
             "EndpointConfig HttpBackend JudgeClient JudgeResponse "

@@ -321,6 +321,12 @@ def parse_config(
 
     thresholds.validate(errors)
     sampling.validate(errors)
+    # A set of k units has at most k successes, so no real-label pair
+    # could be delta apart.
+    if thresholds.delta > sampling.k:
+        errors.append(
+            f"thresholds.delta={thresholds.delta} exceeds sampling.k={sampling.k}"
+        )
 
     if mode == "stub" and stub_fixture and isinstance(stub_fixture, str):
         fixture_path = (base_dir / stub_fixture).resolve()

@@ -411,15 +411,14 @@ def score_model(
 
 def distribution_weighted(
     table: StratumTable | Sequence[StratumRow],
-    weight_tolerance: float = WEIGHT_SUM_TOLERANCE,
 ) -> dict[str, float]:
     """Weighted sum of per-stratum metrics by distribution weight.
 
     Only rows carrying both a weight and metrics participate. Weights
-    must sum to 1 within weight_tolerance; the default tolerance admits
-    weights rounded to three decimals (pass 1e-9 for strict checking).
-    Metrics are combined as plain weighted sums, without renormalizing,
-    so rounded weights reproduce published rows.
+    must sum to 1 within WEIGHT_SUM_TOLERANCE, which admits weights
+    rounded to three decimals. Metrics are combined as plain weighted
+    sums, without renormalizing, so rounded weights reproduce published
+    rows.
     """
     rows = table.rows if isinstance(table, StratumTable) else tuple(table)
     active = [
@@ -428,10 +427,10 @@ def distribution_weighted(
     if not active:
         raise PipelineError("distribution_weighted: no weighted rows")
     total = sum(r.distribution_weight for r in active)
-    if abs(total - 1.0) > weight_tolerance:
+    if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
         raise PipelineError(
             f"distribution_weighted: weights sum to {total}, not 1 "
-            f"(tolerance {weight_tolerance})"
+            f"(tolerance {WEIGHT_SUM_TOLERANCE})"
         )
     keys = list(active[0].metrics)
     for r in active:

@@ -389,7 +389,6 @@ def build_sft(
     store: DatasetStore,
     split: str,
     out_path: str | Path,
-    hyperparameters: Mapping[str, Any] | None = None,
 ) -> TrainingManifest:
     """One example per (paper, reviewer): target is that reviewer's
     successful units only; reviewers with none contribute nothing."""
@@ -426,7 +425,7 @@ def build_sft(
         kind="sft",
         dataset_path=str(out_path),
         record_count=count,
-        hyperparameters=hyperparameters or SFT_HYPERPARAMETERS,
+        hyperparameters=SFT_HYPERPARAMETERS,
         prompt_version=GENERATION_PROMPT_VERSION,
     )
 
@@ -528,7 +527,6 @@ def build_dpo(
     corruption_pairs_per_paper: int = 1,
     seed: int = 0,
     chosen_successful_only: bool = False,
-    hyperparameters: Mapping[str, Any] | None = None,
     on_skip: Callable[[str, str], None] | None = None,
 ) -> TrainingManifest:
     """Preference pairs per paper from deduped, labeled units.
@@ -588,7 +586,7 @@ def build_dpo(
         kind="dpo",
         dataset_path=str(out_path),
         record_count=count,
-        hyperparameters=hyperparameters or DPO_HYPERPARAMETERS,
+        hyperparameters=DPO_HYPERPARAMETERS,
         prompt_version=GENERATION_PROMPT_VERSION,
     )
 

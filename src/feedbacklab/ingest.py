@@ -1,4 +1,4 @@
-"""Dataset stores: load, validate, save, and split paper corpora.
+"""Dataset stores: load, validate and save paper corpora and their splits.
 
 On-disk layout under a store root:
 
@@ -17,19 +17,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .core import AuthorAction, Decision, PaperRecord, Validity, canonical_json
+from .core import AuthorAction, PaperRecord, Validity, canonical_json
 from .core import atomic_write
 from .errors import IngestError, PipelineError
 
 FORMAT_VERSION = 1
 
 T = TypeVar("T")
-
-# (first year, last year, pool size) drawn decision-balanced per pool.
-DEFAULT_TEST_POOLS: tuple[tuple[int, int, int], ...] = (
-    (2020, 2025, 600),
-    (2026, 2026, 598),
-)
 
 
 @dataclass(frozen=True)
@@ -39,22 +33,13 @@ class DatasetStore:
     manifest: Mapping[str, tuple[str, ...]]
     records: Mapping[str, PaperRecord]
 
-    def split_names(self) -> list[str]:
-        return sorted(self.manifest)
-
     def split_ids(self, split: str) -> tuple[str, ...]:
         if split not in self.manifest:
             raise IngestError(f"unknown split {split!r}")
         return self.manifest[split]
 
-    def papers(self, split: str | None = None) -> list[PaperRecord]:
-        if split is None:
-            ids: Iterable[str] = (
-                pid for name in self.split_names() for pid in self.manifest[name]
-            )
-        else:
-            ids = self.split_ids(split)
-        return [self.records[pid] for pid in ids]
+    def papers(self, split: str) -> list[PaperRecord]:
+        return [self.records[pid] for pid in self.split_ids(split)]
 
     def counts(self) -> dict[str, Any]:
         by_split = {name: len(ids) for name, ids in sorted(self.manifest.items())}
@@ -76,7 +61,7 @@ def _read_manifest(root: Path) -> dict[str, Any]:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise IngestError(f"malformed manifest {path}: {exc}") from None
-    if not isinstance(data, dict) or "splits" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("splits"), dict):
         raise IngestError(f"manifest {path} must contain a 'splits' object")
     version = data.get("format_version")
     if version != FORMAT_VERSION:
@@ -84,6 +69,11 @@ def _read_manifest(root: Path) -> dict[str, Any]:
             f"manifest {path}: unsupported format_version {version!r}, "
             f"expected {FORMAT_VERSION}"
         )
+    for split, ids in data["splits"].items():
+        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+            raise IngestError(
+                f"manifest {path}: split {split!r} must be a list of string ids"
+            )
     return data
 
 
@@ -122,8 +112,6 @@ def load_corpus(root: str | Path) -> DatasetStore:
     manifest: dict[str, tuple[str, ...]] = {}
     claimed: dict[str, str] = {}
     for split, ids in data["splits"].items():
-        if not isinstance(ids, list):
-            raise IngestError(f"manifest split {split!r} must be a list of ids")
         for pid in ids:
             if pid in claimed:
                 raise IngestError(
@@ -203,50 +191,6 @@ def make_store(
     return DatasetStore(manifest=manifest, records=by_id)
 
 
-def build_test_split(
-    store: DatasetStore,
-    seed: int,
-    pools: Sequence[tuple[int, int, int]] = DEFAULT_TEST_POOLS,
-) -> list[str]:
-    """Decision-balanced test split drawn from year pools.
-
-    Each pool (first_year, last_year, size) contributes size//2 rejected
-    papers and the remainder accepted, selected by seeded shuffle of the
-    sorted candidate ids. Papers without a known decision are ignored.
-    """
-    import numpy as np
-
-    chosen: list[str] = []
-    for pool_index, (first, last, size) in enumerate(pools):
-        candidates: dict[Decision, list[str]] = {
-            Decision.ACCEPTED: [],
-            Decision.REJECTED: [],
-        }
-        for record in store.records.values():
-            if first <= record.venue_year <= last and record.decision in candidates:
-                candidates[record.decision].append(record.paper_id)
-        need = {
-            Decision.ACCEPTED: size - size // 2,
-            Decision.REJECTED: size // 2,
-        }
-        for class_index, decision in enumerate(
-            (Decision.ACCEPTED, Decision.REJECTED)
-        ):
-            ids = sorted(candidates[decision])
-            want = need[decision]
-            if len(ids) < want:
-                raise IngestError(
-                    f"pool {first}-{last}: need {want} {decision.value} "
-                    f"papers, found {len(ids)}"
-                )
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed, pool_index, class_index])
-            )
-            order = rng.permutation(len(ids))
-            chosen.extend(ids[i] for i in order[:want])
-    return chosen
-
-
 @dataclass(frozen=True)
 class AnnotationRecord:
     """One annotator's labels for a unit or a unit pair."""
@@ -308,20 +252,12 @@ class AnnotationRecord:
         return out
 
 
-def load_annotations(
-    path: str | Path, annotators: Sequence[str] | None = None
-) -> list[AnnotationRecord]:
-    """Read annotation JSONL; optionally restrict to known annotators."""
-    path = Path(path)
-    known = set(annotators) if annotators is not None else None
-    out: list[AnnotationRecord] = []
-    for lineno, record in read_jsonl(path, AnnotationRecord.from_dict, "annotation"):
-        if known is not None and record.annotator_id not in known:
-            raise IngestError(
-                f"{path}:{lineno}: unknown annotator {record.annotator_id!r}"
-            )
-        out.append(record)
-    return out
+def load_annotations(path: str | Path) -> list[AnnotationRecord]:
+    """Read annotation JSONL."""
+    return [
+        record
+        for _, record in read_jsonl(path, AnnotationRecord.from_dict, "annotation")
+    ]
 
 
 def group_by_unit(

@@ -246,9 +246,7 @@ class JudgeResponse:
     parsed: Any
     usage: Mapping[str, int]
     cache_hit: bool
-    template_name: str
     template_version: str
-    model_name: str
 
 
 class Backend(Protocol):
@@ -912,9 +910,7 @@ class JudgeClient:
                 parsed=_extract_json(raw),
                 usage=usage,
                 cache_hit=True,
-                template_name=template.name,
                 template_version=template.version,
-                model_name=endpoint.model_name,
             )
 
         with self._backend_slot(endpoint):
@@ -955,9 +951,7 @@ class JudgeClient:
             parsed=parsed,
             usage=usage,
             cache_hit=False,
-            template_name=template.name,
             template_version=template.version,
-            model_name=endpoint.model_name,
         )
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:

@@ -39,13 +39,9 @@ class ParseResult:
     reviewer_id: str
     units: tuple[FeedbackUnit, ...]
     dropped_note: int
-    cache_hit: bool
     template_version: str
 
     def to_audit_dict(self) -> dict[str, Any]:
-        # cache_hit stays off the persisted audit record: a re-run of an
-        # unchanged config must rewrite byte-identical artifacts, and
-        # cache status flips between first and second run.
         return {
             "paper_id": self.paper_id,
             "reviewer_id": self.reviewer_id,
@@ -121,7 +117,6 @@ def parse_thread(
         reviewer_id=thread.reviewer_id,
         units=tuple(units),
         dropped_note=response.parsed["skipped_positive_count"],
-        cache_hit=response.cache_hit,
         template_version=response.template_version,
     )
 

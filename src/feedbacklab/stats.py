@@ -114,16 +114,12 @@ def cohen_kappa(table: Any) -> float:
     return float((p_o - p_e) / (1 - p_e))
 
 
-def krippendorff_alpha(
-    ratings: Sequence[Sequence[Any]], metric: str = "nominal"
-) -> float:
-    """Krippendorff's alpha over a units x annotators matrix.
+def krippendorff_alpha(ratings: Sequence[Sequence[Any]]) -> float:
+    """Nominal Krippendorff's alpha over a units x annotators matrix.
 
     Missing entries are None. Units with fewer than two ratings are
-    excluded. Only the nominal metric is supported.
+    excluded.
     """
-    if metric != "nominal":
-        raise StatsError(f"unsupported metric: {metric!r}")
     # Coincidence matrix: each co-rated unit contributes its ordered
     # value pairs with weight 1/(m_u - 1).
     coincidence: dict[tuple[Any, Any], Fraction] = {}
@@ -291,13 +287,11 @@ def _mwu_exact_p(x: Sequence[float], y: Sequence[float], u2_obs: int) -> float:
     return float(Fraction(hits, total))
 
 
-def mann_whitney_u(
-    x: Sequence[float], y: Sequence[float], exact_limit: int = EXACT_MWU_LIMIT
-) -> dict[str, Any]:
+def mann_whitney_u(x: Sequence[float], y: Sequence[float]) -> dict[str, Any]:
     """Two-sided Mann-Whitney U test.
 
     U is reported for the first sample (count of x > y pairs plus half
-    the ties). Exact enumeration when n1*n2 <= exact_limit, otherwise a
+    the ties). Exact enumeration when n1*n2 <= EXACT_MWU_LIMIT, otherwise a
     tie-corrected normal approximation without continuity correction.
     """
     if not x or not y:
@@ -306,7 +300,7 @@ def mann_whitney_u(
     u2_obs = _mwu_doubled_u(x, y)
     u = u2_obs / 2.0
     pooled = list(x) + list(y)
-    if n1 * n2 <= exact_limit:
+    if n1 * n2 <= EXACT_MWU_LIMIT:
         return {"u": u, "p": _mwu_exact_p(x, y, u2_obs), "method": "exact"}
     n = n1 + n2
     tie = _tie_term(pooled)

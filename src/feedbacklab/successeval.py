@@ -41,17 +41,12 @@ class QualityScores:
     constructive_tone: int
     paper_specific_grounding: int
     actionability: int
-    justifications: Mapping[str, str]
 
     def __post_init__(self) -> None:
         for dim in QUALITY_DIMENSIONS:
             value = getattr(self, dim)
             if not isinstance(value, int) or not 1 <= value <= 5:
                 raise PipelineError(f"quality score {dim}={value!r} outside 1..5")
-        object.__setattr__(self, "justifications", dict(self.justifications))
-
-    def as_dict(self) -> dict[str, int]:
-        return {dim: getattr(self, dim) for dim in QUALITY_DIMENSIONS}
 
 
 @dataclass(frozen=True)
@@ -59,7 +54,6 @@ class PredictedResponse:
     unit_id: str
     predicted_validity: Validity
     predicted_action: AuthorAction
-    predicted_response_text: str | None = None
 
 
 def score_quality(
@@ -85,9 +79,6 @@ def score_quality(
         constructive_tone=parsed["constructive_tone"]["score"],
         paper_specific_grounding=parsed["paper_specific_grounding"]["score"],
         actionability=parsed["actionability"]["score"],
-        justifications={
-            dim: parsed[dim]["justification"] for dim in QUALITY_DIMENSIONS
-        },
     )
 
 
@@ -122,7 +113,6 @@ def predict_response(
         unit_id=unit.id,
         predicted_validity=Validity(parsed["validity"]),
         predicted_action=AuthorAction(parsed["author_action"]),
-        predicted_response_text=parsed.get("response_text"),
     )
 
 

@@ -18,6 +18,12 @@ from feedbacklab.cli import COMMANDS, main, run
 from feedbacklab.config import (
     JUDGE_TASKS,
     THROUGHPUT_FIELDS,
+    Flags,
+    PathsConfig,
+    PipelineConfig,
+    QualityThresholds,
+    Sampling,
+    Thresholds,
     config_hash,
     load_config,
     parse_config,
@@ -38,7 +44,15 @@ from feedbacklab.core import (
 )
 from feedbacklab.errors import IngestError
 from feedbacklab.ingest import load_corpus, make_store, save_corpus
-from feedbacklab.judge import StubBackend
+from feedbacklab.judge import EndpointConfig, HttpBackend, StubBackend
+from feedbacklab.prompts import PAIR_MATCH
+from test_judgeclient import (
+    GOOD,
+    FakeResponse,
+    FakeSession,
+    bindings,
+    completion_payload,
+)
 
 FIXTURE = Path(feedbacklab.__file__).parent / "fixtures" / "consensus_demo"
 FIXTURE_CONFIG = str(FIXTURE / "config.json")
@@ -354,6 +368,7 @@ def test_bad_config_exits_2(tmp_path):
             {"thresholds": {"quality": {"accuracy": "x"}}},
             "thresholds.quality.accuracy must be a number",
         ),
+        ({"thresholds": {"delta": 6}}, "thresholds.delta=6 exceeds sampling.k=5"),
     ],
 )
 def test_malformed_config_section_exits_2(tmp_path, capsys, data, message):
@@ -747,7 +762,7 @@ def test_forge_dpo_killed_mid_write_leaves_the_run_directory_whole(tmp_path):
     assert outside_cache(run_dir) == clean
 
 
-def test_calibrate_command(tmp_path):
+def calibrate_setup(tmp_path):
     bounds = stratum_bounds()
     hh_matches = [0, 0, 0, 0, 1, 13, 15]
     hm_matches = [0, 0, 0, 1, 2, 8, 13]
@@ -790,7 +805,7 @@ def test_calibrate_command(tmp_path):
     (tmp_path / "annotations.jsonl").write_text(
         "".join(canonical_json(a) + "\n" for a in annotations)
     )
-    cfg = write_config(
+    return write_config(
         tmp_path / "config.json",
         paths={
             "annotated_pairs": "pairs.jsonl",
@@ -798,6 +813,10 @@ def test_calibrate_command(tmp_path):
             "runs_root": "runs",
         },
     )
+
+
+def test_calibrate_command(tmp_path):
+    cfg = calibrate_setup(tmp_path)
     assert main(["calibrate", "--config", cfg]) == 0
     report = read_report(only_run_dir(tmp_path / "runs"))
     thresholds = table_dict(report, "thresholds")
@@ -816,7 +835,7 @@ def test_calibrate_command(tmp_path):
     ]
 
 
-def test_success_eval_command(tmp_path):
+def success_eval_setup(tmp_path):
     # p0 and p2 have no model feedback
     papers = [synth_paper(pid, []) for pid in ("p0", "p1", "p2")]
     write_corpus(tmp_path / "corpus", papers)
@@ -855,7 +874,7 @@ def test_success_eval_command(tmp_path):
         }
     }
     (tmp_path / "stub.json").write_text(json.dumps(stub))
-    cfg = write_config(
+    return write_config(
         tmp_path / "config.json",
         stub_fixture="stub.json",
         paths={
@@ -864,6 +883,10 @@ def test_success_eval_command(tmp_path):
             "runs_root": "runs",
         },
     )
+
+
+def test_success_eval_command(tmp_path):
+    cfg = success_eval_setup(tmp_path)
     assert main(["success-eval", "--config", cfg]) == 0
     run_dir = only_run_dir(tmp_path / "runs")
     evaluations = [
@@ -1250,6 +1273,91 @@ def leaf_variants(obj, prefix=""):
                     yield leaf, dataclasses.replace(obj, endpoints=endpoints)
         else:
             yield name, dataclasses.replace(obj, **{f.name: other_value(value)})
+
+
+CONFIG_CLASSES = (
+    PipelineConfig,
+    Thresholds,
+    QualityThresholds,
+    Sampling,
+    PathsConfig,
+    Flags,
+    EndpointConfig,
+)
+# Reads made inside these decide nothing: hashing and parsing read every
+# field, __post_init__ only checks values, and PathsConfig.resolved
+# resolves every path (the keys its callers look up count instead).
+NOT_DECIDING = {"config_hash", "parse_config", "__post_init__", "resolved"}
+
+
+def deciding_read():
+    """Whether the read that called the caller decides behaviour."""
+    frame = sys._getframe(2)
+    while frame is not None:
+        if frame.f_code.co_name in NOT_DECIDING:
+            return False
+        frame = frame.f_back
+    return True
+
+
+def test_every_config_setting_is_read(tmp_path, monkeypatch):
+    monkeypatch.setenv("TEST_JUDGE_KEY", "sekret")
+    live = {"base_url": "http://judge.local/v1", "api_key_env": "TEST_JUDGE_KEY"}
+    base = parse_config({"endpoints": {"pair_match": live}}, base_dir=tmp_path)
+    owners = {}  # leaf name -> (class name, field name)
+    for name, _ in leaf_variants(base):
+        *parents, leaf = name.split(".")
+        obj = base
+        for part in parents:
+            obj = obj[part] if isinstance(obj, dict) else getattr(obj, part)
+        owners[name] = (type(obj).__name__, leaf)
+
+    reads = set()
+
+    def recording(cls):
+        names = {f.name for f in dataclasses.fields(cls)}
+
+        def __getattribute__(self, name):
+            if name in names and deciding_read():
+                reads.add((cls.__name__, name))
+            return object.__getattribute__(self, name)
+
+        return __getattribute__
+
+    class Lookups(dict):
+        def __getitem__(self, key):
+            if deciding_read():
+                reads.add(("PathsConfig", key))
+            return super().__getitem__(key)
+
+    for cls in CONFIG_CLASSES:
+        monkeypatch.setattr(cls, "__getattribute__", recording(cls))
+    resolved = PathsConfig.resolved
+    monkeypatch.setattr(
+        PathsConfig, "resolved", lambda self, base: Lookups(resolved(self, base))
+    )
+
+    demo = ["--config", FIXTURE_CONFIG, "--set", f"paths.runs_root={tmp_path}"]
+    for command in ("ingest", "consensus-eval", "report"):
+        assert main([command, *demo]) == 0
+    for command, setup in (
+        ("parse", lambda root: parse_setup(root, [synth_paper("p1", [])])),
+        ("forge-sft", forge_dpo_setup),
+        ("forge-dpo", forge_dpo_setup),
+        ("calibrate", calibrate_setup),
+        ("success-eval", success_eval_setup),
+    ):
+        root = tmp_path / command
+        root.mkdir()
+        assert main([command, "--config", setup(root)]) == 0, command
+    session = FakeSession([FakeResponse(200, completion_payload(GOOD))])
+    HttpBackend(session=session, sleeper=lambda s: None).complete(
+        base.endpoint("pair_match"), PAIR_MATCH, bindings(), "s", "u"
+    )
+
+    assert [name for name, owner in owners.items() if owner not in reads] == []
+    walked = {"base_dir", "paths.runs_root", "endpoints.pair_match.api_key_env"}
+    assert walked <= owners.keys()
 
 
 def test_cli_import_loads_no_heavy_packages():

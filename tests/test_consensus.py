@@ -388,17 +388,18 @@ def test_distribution_weighted_reproduces_reference_rows():
 
 
 def test_distribution_weighted_tolerance():
-    # these weights sum to 1.001; the default tolerance admits rounding
+    # HM_ROWS' weights sum to 1.001, a rounding the tolerance admits;
+    # weights that sum to 0.99 are rejected.
     assert abs(sum(r.distribution_weight for r in HM_ROWS) - 1.0) > 1e-9
-    with pytest.raises(PipelineError, match="sum"):
-        distribution_weighted(HM_ROWS, weight_tolerance=1e-9)
-    exact = (
+    distribution_weighted(HM_ROWS)
+    short = (
         StratumRow(lower=0.0, upper=0.5, distribution_weight=0.5,
                    metrics={"m": 1.0}),
-        StratumRow(lower=0.5, upper=1.0, distribution_weight=0.5,
+        StratumRow(lower=0.5, upper=1.0, distribution_weight=0.49,
                    metrics={"m": 0.0}),
     )
-    assert distribution_weighted(exact, weight_tolerance=1e-9) == {"m": 0.5}
+    with pytest.raises(PipelineError, match="sum"):
+        distribution_weighted(short)
 
 
 def test_distribution_weighted_skips_bare_rows():

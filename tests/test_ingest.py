@@ -16,9 +16,7 @@ from feedbacklab.core import (
 )
 from feedbacklab.errors import IngestError, PipelineError
 from feedbacklab.ingest import (
-    DEFAULT_TEST_POOLS,
     AnnotationRecord,
-    build_test_split,
     group_by_unit,
     load_annotations,
     load_corpus,
@@ -28,10 +26,20 @@ from feedbacklab.ingest import (
 )
 
 
-def make_paper(pid, year=2026, decision=Decision.ACCEPTED, with_unit=True):
-    units = ()
-    if with_unit:
-        units = (
+def make_paper(pid):
+    return PaperRecord(
+        paper_id=pid,
+        title=f"Paper {pid}",
+        abstract="abstract",
+        venue_year=2026,
+        decision=Decision.ACCEPTED,
+        threads=(
+            ReviewThread(
+                reviewer_id="r1",
+                turns=(Turn(speaker=Speaker.REVIEWER, text="needs work"),),
+            ),
+        ),
+        units=(
             FeedbackUnit(
                 id=f"{pid}-u1",
                 paper_id=pid,
@@ -41,20 +49,7 @@ def make_paper(pid, year=2026, decision=Decision.ACCEPTED, with_unit=True):
                 validity=Validity.AGREED,
                 action=AuthorAction.WILL_REVISE,
             ),
-        )
-    return PaperRecord(
-        paper_id=pid,
-        title=f"Paper {pid}",
-        abstract="abstract",
-        venue_year=year,
-        decision=decision,
-        threads=(
-            ReviewThread(
-                reviewer_id="r1",
-                turns=(Turn(speaker=Speaker.REVIEWER, text="needs work"),),
-            ),
         ),
-        units=units,
     )
 
 
@@ -74,10 +69,8 @@ def write_store(tmp_path, n=4):
 def test_round_trip(tmp_path):
     root, papers = write_store(tmp_path)
     store = load_corpus(root)
-    assert store.split_names() == ["dev", "test"]
     assert store.split_ids("test") == ("p2", "p3")
     assert [p.paper_id for p in store.papers("dev")] == ["p0", "p1"]
-    assert [p.paper_id for p in store.papers()] == ["p0", "p1", "p2", "p3"]
     assert store.records["p1"] == papers[1]
     counts = store.counts()
     assert counts["papers"] == 4
@@ -110,6 +103,18 @@ def test_bad_format_version(tmp_path):
     manifest["format_version"] = 99
     (root / "manifest.json").write_text(canonical_json(manifest))
     with pytest.raises(IngestError, match="format_version|version"):
+        load_corpus(root)
+
+
+@pytest.mark.parametrize(
+    "splits", [["test"], {"test": [["x"]]}, {"test": [1]}], ids=repr
+)
+def test_manifest_splits_of_the_wrong_shape_rejected(tmp_path, splits):
+    root, _ = write_store(tmp_path)
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["splits"] = splits
+    (root / "manifest.json").write_text(canonical_json(manifest))
+    with pytest.raises(IngestError, match="manifest"):
         load_corpus(root)
 
 
@@ -184,64 +189,6 @@ def test_make_store_validation():
         make_store([p], {"a": ["p1"], "b": ["p1"]})
 
 
-# ---- test split construction ----
-
-
-def pool_corpus(n_accept=320, n_reject=320):
-    papers = []
-    for i in range(n_accept):
-        papers.append(make_paper(f"a{i:04d}", year=2022, with_unit=False))
-    for i in range(n_reject):
-        papers.append(
-            make_paper(f"r{i:04d}", year=2022, decision=Decision.REJECTED,
-                       with_unit=False)
-        )
-    return make_store(papers, {"all": [p.paper_id for p in papers]})
-
-
-def test_default_pools_shape():
-    assert DEFAULT_TEST_POOLS == ((2020, 2025, 600), (2026, 2026, 598))
-
-
-def test_build_test_split_balanced_and_deterministic():
-    store = pool_corpus()
-    chosen = build_test_split(store, seed=5, pools=[(2020, 2025, 600)])
-    assert len(chosen) == 600
-    n_accept = sum(1 for pid in chosen if pid.startswith("a"))
-    assert n_accept == 300 and len(chosen) - n_accept == 300
-    assert len(set(chosen)) == 600
-    again = build_test_split(store, seed=5, pools=[(2020, 2025, 600)])
-    assert chosen == again
-    other = build_test_split(store, seed=6, pools=[(2020, 2025, 600)])
-    assert chosen != other
-
-
-def test_build_test_split_odd_size_favors_accepted():
-    store = pool_corpus()
-    chosen = build_test_split(store, seed=0, pools=[(2020, 2025, 599)])
-    n_accept = sum(1 for pid in chosen if pid.startswith("a"))
-    assert n_accept == 300  # 599 - 599//2
-    assert len(chosen) - n_accept == 299
-
-
-def test_build_test_split_ignores_unknown_decision_and_other_years():
-    papers = [
-        make_paper("a1", year=2022, with_unit=False),
-        make_paper("r1", year=2022, decision=Decision.REJECTED, with_unit=False),
-        make_paper("u1", year=2022, decision=Decision.UNKNOWN, with_unit=False),
-        make_paper("a2", year=1999, with_unit=False),
-    ]
-    store = make_store(papers, {"all": [p.paper_id for p in papers]})
-    chosen = build_test_split(store, seed=0, pools=[(2020, 2025, 2)])
-    assert sorted(chosen) == ["a1", "r1"]
-
-
-def test_build_test_split_shortfall():
-    store = pool_corpus(n_accept=10, n_reject=400)
-    with pytest.raises(IngestError, match="accepted"):
-        build_test_split(store, seed=0, pools=[(2020, 2025, 600)])
-
-
 # ---- annotations ----
 
 
@@ -272,8 +219,6 @@ def test_load_annotations(tmp_path):
     grouped = group_by_unit(records)
     assert sorted(grouped) == ["u1", "u2"]
     assert len(grouped["u1"]) == 2
-    with pytest.raises(IngestError, match="unknown annotator"):
-        load_annotations(path, annotators=["a1"])
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"unit_id": "u1"}\n')
     with pytest.raises(IngestError, match=r"bad\.jsonl:1"):

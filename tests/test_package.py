@@ -19,7 +19,7 @@ EXPORTS = [
     "Source", "Speaker", "StatsError", "StubBackend", "SuccessMode", "Turn",
     "UnitEvaluation", "Validity", "agreement_report", "bootstrap_eval",
     "bootstrap_match_eval", "build_consensus", "build_corruption_bank",
-    "build_dpo", "build_sft", "build_stratum_table", "build_test_split",
+    "build_dpo", "build_sft", "build_stratum_table",
     "calibrate_threshold", "canonical_json", "cohen_kappa", "config_hash",
     "consensus_clusters", "content_hash", "corrupt", "cosine",
     "decompose_novel_aligned", "dedup_units", "distribution_weighted",

@@ -128,8 +128,6 @@ def test_krippendorff_known_cases():
     assert krippendorff_alpha([["a", None, "a"], ["b", None, None]]) == 1.0
     with pytest.raises(StatsError):
         krippendorff_alpha([["a", None], [None, "b"]])
-    with pytest.raises(StatsError):
-        krippendorff_alpha([["a", "a"]], metric="interval")
 
 
 @settings(max_examples=200)

@@ -65,7 +65,7 @@ def paper_record(pid="p1"):
 def scores(**overrides):
     values = dict.fromkeys(QUALITY_DIMENSIONS, 5)
     values.update(overrides)
-    return QualityScores(justifications={}, **values)
+    return QualityScores(**values)
 
 
 def evaluation(
@@ -137,7 +137,6 @@ def test_quality_scores_validation():
         scores(actionability=6)
     with pytest.raises(PipelineError):
         scores(accuracy=4.5)
-    assert scores().as_dict() == dict.fromkeys(QUALITY_DIMENSIONS, 5)
 
 
 # ---- judged scoring and prediction ----
@@ -170,7 +169,6 @@ def test_score_quality_via_judge():
     got = score_quality(client, ENDPOINT, munit(), paper_record())
     assert got.prioritisation == 2
     assert got.accuracy == 5
-    assert got.justifications["accuracy"] == "scripted"
 
 
 def test_predict_response_via_judge():
@@ -184,7 +182,6 @@ def test_predict_response_via_judge():
     got = predict_response(client, ENDPOINT, munit(), paper_record())
     assert got.predicted_validity is Validity.AGREED
     assert got.predicted_action is AuthorAction.DEFER_FUTURE_WORK
-    assert got.predicted_response_text == "will add in a revision"
 
 
 def test_evaluate_unit_combines_both_judgments():
