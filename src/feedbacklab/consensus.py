@@ -14,7 +14,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import Thresholds
+from .config import Sampling, Thresholds
 from .core import FeedbackUnit, connected_components
 from .errors import ConfigError, PipelineError
 from .judge import EndpointConfig, JudgeClient, similar_pairs
@@ -554,9 +554,9 @@ def paper_match_data(
 
 def bootstrap_match_eval(
     papers: Sequence[PaperMatchData],
-    k: int = 5,
-    iterations: int = 1000,
-    seed: int = 0,
+    k: int = Sampling.k,
+    iterations: int = Sampling.iterations,
+    seed: int = Sampling.seed,
     macro: bool = False,
 ) -> dict[str, Any]:
     """Bootstrap precision/recall/F1 over per-paper model subsamples.

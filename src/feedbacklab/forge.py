@@ -186,7 +186,7 @@ def verify_and_filter(
     variants: Sequence[CorruptionVariant],
     unit: FeedbackUnit,
     paper: PaperRecord,
-    seed: int = 0,
+    seed: int = Sampling.seed,
 ) -> tuple[list[CorruptionVariant], FilterStats]:
     """Judge variants blind (seeded random order) and apply the keep rule.
 
@@ -282,7 +282,7 @@ def dedup_units(
     units: Sequence[FeedbackUnit],
     embeddings: Sequence[np.ndarray],
     threshold: float = Thresholds.dedup,
-    seed: int = 0,
+    seed: int = Sampling.seed,
 ) -> list[FeedbackUnit]:
     """Drop near-duplicates by transitive cosine clustering.
 
@@ -523,9 +523,9 @@ def build_dpo(
     k: int = Sampling.k,
     delta: int = Thresholds.delta,
     dedup_threshold: float = Thresholds.dedup,
-    pairs_per_paper: int = 1,
-    corruption_pairs_per_paper: int = 1,
-    seed: int = 0,
+    pairs_per_paper: int = Sampling.pairs_per_paper,
+    corruption_pairs_per_paper: int = Sampling.corruption_pairs_per_paper,
+    seed: int = Sampling.seed,
     chosen_successful_only: bool = False,
     on_skip: Callable[[str, str], None] | None = None,
 ) -> TrainingManifest:
@@ -596,7 +596,7 @@ def build_corruption_bank(
     endpoint_corrupt: EndpointConfig,
     endpoint_verify: EndpointConfig,
     papers: Sequence[PaperRecord],
-    seed: int = 0,
+    seed: int = Sampling.seed,
     max_units_per_paper: int | None = None,
 ) -> tuple[dict[str, list[CorruptionVariant]], list[FilterStats]]:
     """Corrupt and verify every successful unit across papers.

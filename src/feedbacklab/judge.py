@@ -364,6 +364,12 @@ def similar_pairs(
     ]
 
 
+def _fixture_object(value: Any, name: str) -> Mapping[str, Any]:
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{name} must be a JSON object")
+    return value
+
+
 class StubBackend:
     """Deterministic offline backend.
 
@@ -372,23 +378,34 @@ class StubBackend:
     A response given as an object is serialized canonically; a response
     given as a string is returned verbatim (useful for exercising the
     schema-failure path). Embeddings are hash-derived unit vectors,
-    overridable per text.
+    overridable per text. A fixture of the wrong shape raises ConfigError.
     """
 
     def __init__(self, fixture: Mapping[str, Any] | None = None):
-        fixture = fixture or {}
-        self.templates: Mapping[str, Any] = fixture.get("templates", {})
-        self.embedding_overrides: Mapping[str, Sequence[float]] = fixture.get(
-            "embeddings", {}
+        fixture = _fixture_object({} if fixture is None else fixture, "the top level")
+        self.templates = _fixture_object(fixture.get("templates", {}), "templates")
+        for name, spec in self.templates.items():
+            _fixture_object(spec, f"templates.{name}")
+        self.embedding_overrides: Mapping[str, Sequence[float]] = _fixture_object(
+            fixture.get("embeddings", {}), "embeddings"
         )
-        self.embedding_dim = int(fixture.get("embedding_dim", 16))
-        if self.embedding_dim < 2:
-            raise ConfigError("stub embedding_dim must be >= 2")
+        self.embedding_dim = fixture.get("embedding_dim", 16)
+        if type(self.embedding_dim) is not int or self.embedding_dim < 2:
+            raise ConfigError("embedding_dim must be an integer >= 2")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "StubBackend":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                fixture = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(
+                f"stub fixture {path} is not valid JSON: {exc}"
+            ) from None
+        try:
+            return cls(fixture)
+        except ConfigError as exc:
+            raise ConfigError(f"stub fixture {path}: {exc}") from None
 
     def complete(
         self,
@@ -604,24 +621,20 @@ class _Mode(threading.local):
     # The budget of the first backend call on this thread that waited
     # since map() last cleared this.
     waited: _Budget | None = None
-    # The top-level map this thread runs an item of, and that item's new
-    # completion records, (key, record) in the order its calls made them;
-    # both None outside any map.
-    batch: _Batch | None = None
+    # The new completion records of the map item this thread runs,
+    # (key, record) in the order its calls made them; None outside any map.
     records: list[tuple[str, bytes]] | None = None
 
 
 class _Batch:
     """The new completion records of one top-level map().
 
-    A record fetched by an item waits in `pending`, where the map's other
-    items find it, until its segment is written. add() takes each item's
-    records in input order and keeps each key once, at its first item, so
-    the segments do not depend on which thread fetched what.
+    add() takes each item's records in input order and keeps each key
+    once, at its first item, so the segments do not depend on which
+    thread fetched what.
     """
 
-    def __init__(self, write: Callable[[list[tuple[str, bytes]], dict], None]):
-        self.pending: dict[str, bytes] = {}
+    def __init__(self, write: Callable[[list[tuple[str, bytes]]], None]):
         self._write = write
         self._seen: set[str] = set()
         self._segment: list[tuple[str, bytes]] = []
@@ -636,7 +649,7 @@ class _Batch:
 
     def flush(self) -> None:
         if self._segment:
-            self._write(self._segment, self.pending)
+            self._write(self._segment)
             self._segment = []
 
 
@@ -657,14 +670,11 @@ class JudgeClient:
         self.cache_dir = Path(cache_dir) if cache_dir else None
         if self.cache_dir:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-        # Guards cache writes, the segment index and the pending records
-        # of map batches.
+        # Guards cache writes and the segment index.
         self._lock = threading.Lock()
         # Cache key -> (segment, byte offset of its record, byte length),
         # built from the segments' header lines by the first lookup.
         self._segments: dict[str, tuple[Path, int, int]] | None = None
-        # Keys of the per-call <key>.json entries of earlier versions.
-        self._legacy: set[str] = set()
         self._budgets: dict[tuple[str, int], _Budget] = {}
         self._budgets_lock = threading.Lock()
         self._mode = _Mode()
@@ -731,8 +741,6 @@ class JudgeClient:
                 for path in sorted(self.cache_dir.iterdir()):
                     if path.suffix == ".bin":
                         self._index_segment(path)
-                    elif path.suffix == ".json":
-                        self._legacy.add(path.stem)
         return self._segments
 
     def _index_segment(self, path: Path) -> None:
@@ -797,10 +805,8 @@ class JudgeClient:
         kind: str,
         fields: Mapping[str, Any],
         records: Sequence[tuple[str, bytes]],
-        pending: dict[str, bytes] | None = None,
     ) -> None:
-        """Write (key, record) pairs as one segment and index them; the
-        written keys leave `pending`."""
+        """Write (key, record) pairs as one segment and index them."""
         if not self.cache_dir:
             return
         keys = [key for key, _ in records]
@@ -815,57 +821,21 @@ class JudgeClient:
             self._index_records(
                 path, len(header), keys, (len(record) for _, record in records)
             )
-            if pending is not None:
-                for key in keys:
-                    pending.pop(key, None)
 
-    def _write_completions(
-        self,
-        records: Sequence[tuple[str, bytes]],
-        pending: dict[str, bytes] | None = None,
-    ) -> None:
+    def _write_completions(self, records: Sequence[tuple[str, bytes]]) -> None:
         sizes = [len(record) for _, record in records]
-        self._write_segment("cmp", {"sizes": sizes}, records, pending)
+        self._write_segment("cmp", {"sizes": sizes}, records)
 
     def _cache_read(self, key: str) -> tuple[str, Any] | None:
         """(reply, usage) cached under a completion key, or None."""
         if not self.cache_dir:
             return None
-        mode = self._mode
         with self._lock:
             found = self._segment_index().get(key)
-            pending = None
-            if found is None and mode.batch is not None:
-                pending = mode.batch.pending.get(key)
-        if found is not None:
-            record = self._read_records({key: found})[key]
-        elif pending is not None:
-            # Fetched by another item of this map: this item names it too,
-            # and the map writes it at the first item that does.
-            record = pending
-            mode.records.append((key, record))
-        elif key in self._legacy:
-            return self._read_legacy(key)
-        else:
+        if found is None:
             return None
-        usage, _, raw = record.partition(b"\n")
+        usage, _, raw = self._read_records({key: found})[key].partition(b"\n")
         return raw.decode("utf-8"), json.loads(usage)
-
-    def _read_legacy(self, key: str) -> tuple[str, Any] | None:
-        """A <key>.json entry of an earlier version: a hit, never rewritten,
-        so a run directory never pays for its calls again."""
-        path = self.cache_dir / f"{key}.json"
-        try:
-            with open(path, encoding="utf-8") as fh:
-                entry = json.load(fh)
-            return entry["raw_text"], entry.get("usage", {})
-        except (KeyError, TypeError, ValueError):
-            # A torn entry is a miss, and the fresh result goes to a
-            # segment.
-            logger.warning(
-                "judge cache: unreadable entry %s, treated as a miss", path.name
-            )
-            return None
 
     def _cache_write(self, key: str, raw: str, usage: Mapping[str, Any]) -> None:
         """Keep a fresh reply: with the current map item's records, or,
@@ -873,13 +843,10 @@ class JudgeClient:
         if not self.cache_dir:
             return
         record = canonical_json(usage).encode() + b"\n" + raw.encode("utf-8")
-        mode = self._mode
-        if mode.records is None:
+        if self._mode.records is None:
             self._write_completions([(key, record)])
-            return
-        with self._lock:
-            mode.batch.pending.setdefault(key, record)
-        mode.records.append((key, record))
+        else:
+            self._mode.records.append((key, record))
 
     # -- completion ----------------------------------------------------
 
@@ -977,24 +944,24 @@ class JudgeClient:
         belong to the item that encloses it, and a top-level map writes
         them in segments cut at item boundaries once SEGMENT_RECORDS have
         gathered (its last segment may hold fewer), each as soon as all
-        of its items have finished. When an item fails, the records of
-        the items before it and those it made itself are still written.
+        of its items have finished. Items that ask for one reply before
+        its segment is written each fetch it; it is written once, with
+        the first. When an item fails, the records of the items before it
+        and those it made itself are still written.
         """
         mode = self._mode
-        top = mode.batch is None
-        batch = _Batch(self._write_completions) if top else mode.batch
-        keep = batch.add if top else mode.records.extend
+        batch = _Batch(self._write_completions) if mode.records is None else None
+        keep = batch.add if batch else mode.records.extend
         records: list[list[tuple[str, bytes]] | None] = [None] * len(items)
         done: list[R] = []
 
         def run(i: int) -> R:
             records[i] = []
-            saved = mode.batch, mode.records
-            mode.batch, mode.records = batch, records[i]
+            saved, mode.records = mode.records, records[i]
             try:
                 return fn(items[i])
             finally:
-                mode.batch, mode.records = saved
+                mode.records = saved
 
         def settle(i: int, outcome: Callable[[], R]) -> None:
             """Item i's result, then its records; in input order."""
@@ -1033,7 +1000,7 @@ class JudgeClient:
             finally:
                 pool.shutdown(cancel_futures=True)
         finally:
-            if top:
+            if batch:
                 batch.flush()
 
     def map_complete(

@@ -14,7 +14,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .config import FILTER_DIMENSIONS, QualityThresholds
+from .config import FILTER_DIMENSIONS, QualityThresholds, Sampling
 from .core import AuthorAction, FeedbackUnit, PaperRecord, Validity, is_actionable
 from .errors import PipelineError
 from .judge import EndpointConfig, JudgeClient
@@ -198,9 +198,9 @@ def success_rate(
 
 def bootstrap_eval(
     per_paper: Mapping[str, Sequence[UnitEvaluation]],
-    k: int = 5,
-    iterations: int = 1000,
-    seed: int = 0,
+    k: int = Sampling.k,
+    iterations: int = Sampling.iterations,
+    seed: int = Sampling.seed,
     quality_filter: bool = True,
 ) -> dict[str, Any]:
     """Bootstrap success rates: draw min(k, n) units per paper, pool.

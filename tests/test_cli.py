@@ -381,6 +381,23 @@ def test_malformed_config_section_exits_2(tmp_path, capsys, data, message):
     assert f"  - {message}\n" in err and "  - split must be a string\n" in err
 
 
+@pytest.mark.parametrize(
+    "contents",
+    ["not json", "[]", '{"embedding_dim": "x"}', '{"templates": []}'],
+)
+def test_malformed_stub_fixture_exits_2(tmp_path, capsys, contents):
+    fixture = tmp_path / "stub.json"
+    fixture.write_text(contents)
+    argv = ["consensus-eval", "--config", FIXTURE_CONFIG]
+    argv += ["--set", f"paths.runs_root={tmp_path / 'runs'}"]
+    argv += ["--set", f"stub_fixture={fixture}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith(f"error: stub fixture {fixture}")
+
+
 def test_unknown_command_rejected_by_parser():
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", "x.json"])

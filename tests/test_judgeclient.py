@@ -1158,48 +1158,31 @@ def test_map_killed_mid_run_keeps_its_written_segments(tmp_path, width):
     assert file_bytes(cache_dir) == file_bytes(tmp_path / "clean")
 
 
-def test_legacy_completion_entries_are_hits_and_stay(tmp_path, caplog):
-    """Per-call <key>.json entries of earlier versions are read as hits
-    and never rewritten; a torn one is a miss whose reply goes to a
-    segment."""
-    lefts = ["a", "b", "c"]
-    for left in lefts:
-        raw = canonical_json({"match": "0", "explanation": f"legacy {left}"})
-        entry = {
-            "parsed": json.loads(raw),
-            "raw_text": raw,
-            "usage": {"prompt_tokens": 3},
-        }
-        path = tmp_path / f"{cache_key(ENDPOINT, left)}.json"
-        path.write_text(canonical_json(entry), encoding="utf-8")
-    torn = tmp_path / f"{cache_key(ENDPOINT, 'c')}.json"
-    torn.write_bytes(torn.read_bytes()[:20])
-    before = cache_state(tmp_path)
+def test_per_call_json_entries_are_dead_files(tmp_path, caplog):
+    """Per-call <key>.json entries of earlier versions are not read:
+    whole or torn, their calls go to the backend, the replies go to one
+    segment, and the files stay as they were, named by no warning."""
+    lefts = ["a", "b"]
+    raw = canonical_json({"match": "0", "explanation": "old"})
+    entry = canonical_json({"parsed": json.loads(raw), "raw_text": raw, "usage": {}})
+    whole = tmp_path / f"{cache_key(ENDPOINT, 'a')}.json"
+    whole.write_text(entry, encoding="utf-8")
+    torn = tmp_path / f"{cache_key(ENDPOINT, 'b')}.json"
+    torn.write_text(entry[:20], encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in (whole, torn)}
 
-    backend = ScriptedBackend([GOOD])
-    client = JudgeClient(backend, cache_dir=tmp_path)
+    backend = ScriptedBackend([GOOD, GOOD])
     with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):
-        out = client.map_complete(
+        out = JudgeClient(backend, cache_dir=tmp_path).map_complete(
             ENDPOINT, PAIR_MATCH, [bindings(left=left) for left in lefts]
         )
-    assert [r.parsed["explanation"] for r in out] == [
-        "legacy a",
-        "legacy b",
-        "same point",
+    assert [(r.raw_text, r.cache_hit) for r in out] == [(GOOD, False)] * 2
+    assert len(backend.calls) == 2
+    assert list(segment_records(tmp_path).values()) == [
+        [cache_key(ENDPOINT, left) for left in lefts]
     ]
-    assert [r.cache_hit for r in out] == [True, True, False]
-    assert out[0].usage == {"prompt_tokens": 3}
-    assert len(backend.calls) == 1
-    assert caplog.text.count(f"unreadable entry {torn.name}") == 1
-    # the legacy entries stay as they were; the fresh reply is a segment
-    after = cache_state(tmp_path)
-    assert {n: v for n, v in after.items() if n in before} == before
-    assert list(segment_records(tmp_path).values()) == [[cache_key(ENDPOINT, "c")]]
-    again = JudgeClient(ScriptedBackend([]), cache_dir=tmp_path).map_complete(
-        ENDPOINT, PAIR_MATCH, [bindings(left=left) for left in lefts]
-    )
-    assert [r.raw_text for r in again] == [r.raw_text for r in out]
-    assert cache_state(tmp_path) == after
+    assert {p.name: p.read_bytes() for p in (whole, torn)} == before
+    assert whole.name not in caplog.text and torn.name not in caplog.text
 
 
 # ---- cosine ----
