@@ -12,6 +12,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import string
 import sys
@@ -49,11 +50,13 @@ MAX_HTTP_ATTEMPTS = 5
 BACKOFF_BASE_SECONDS = 0.5
 # Texts per embeddings POST; larger batches are split and the rows joined.
 MAX_EMBED_BATCH = 256
-# Embedding segments hold raw little-endian float64 rows after the header.
-# numpy is imported only in the functions that handle vectors, so commands
-# that never embed start without it.
-SEGMENT_DTYPE = "<f8"
-SEGMENT_ITEM_BYTES = 8
+# Embedding segments hold raw little-endian float32 rows after the header,
+# the precision embedding endpoints serve; embed() widens them to float64.
+# A float64 segment of an older version fails the header's size check and
+# is rewritten. numpy is imported only in the functions that handle
+# vectors, so commands that never embed start without it.
+SEGMENT_DTYPE = "<f4"
+SEGMENT_ITEM_BYTES = 4
 # A top-level map() writes its new completion records in segments that it
 # cuts at item boundaries once this many records have gathered.
 SEGMENT_RECORDS = 32
@@ -370,6 +373,24 @@ def _fixture_object(value: Any, name: str) -> Mapping[str, Any]:
     return value
 
 
+def _is_embedding(vec: Any, dim: int) -> bool:
+    """Whether vec is a list of dim numbers that _normalize accepts: their
+    float64 sum of squares is finite and not zero. Plain Python, so
+    building a stub does not import numpy, and no Python-level loop over
+    the values, so a large fixture builds fast."""
+    if not (
+        isinstance(vec, list)
+        and len(vec) == dim
+        and set(map(type, vec)) <= {int, float}
+    ):
+        return False
+    try:
+        norm = math.hypot(*vec)
+    except OverflowError:  # an int past the float range
+        return False
+    return 0.0 < norm * norm < math.inf
+
+
 class StubBackend:
     """Deterministic offline backend.
 
@@ -378,7 +399,9 @@ class StubBackend:
     A response given as an object is serialized canonically; a response
     given as a string is returned verbatim (useful for exercising the
     schema-failure path). Embeddings are hash-derived unit vectors,
-    overridable per text. A fixture of the wrong shape raises ConfigError.
+    overridable per text with a list of embedding_dim numbers whose norm
+    is finite and not zero. A fixture of the wrong shape raises
+    ConfigError.
     """
 
     def __init__(self, fixture: Mapping[str, Any] | None = None):
@@ -386,12 +409,25 @@ class StubBackend:
         self.templates = _fixture_object(fixture.get("templates", {}), "templates")
         for name, spec in self.templates.items():
             _fixture_object(spec, f"templates.{name}")
-        self.embedding_overrides: Mapping[str, Sequence[float]] = _fixture_object(
-            fixture.get("embeddings", {}), "embeddings"
-        )
+            cases = spec.get("cases", [])
+            if not isinstance(cases, list):
+                raise ConfigError(f"templates.{name}.cases must be a JSON array")
+            for i, case in enumerate(cases):
+                where = f"templates.{name}.cases[{i}]"
+                _fixture_object(case, where)
+                _fixture_object(case.get("when", {}), f"{where}.when")
         self.embedding_dim = fixture.get("embedding_dim", 16)
         if type(self.embedding_dim) is not int or self.embedding_dim < 2:
             raise ConfigError("embedding_dim must be an integer >= 2")
+        self.embedding_overrides: Mapping[str, Sequence[float]] = _fixture_object(
+            fixture.get("embeddings", {}), "embeddings"
+        )
+        for text, vec in self.embedding_overrides.items():
+            if not _is_embedding(vec, self.embedding_dim):
+                raise ConfigError(
+                    f"embeddings[{text[:40]!r}] must be a list of "
+                    f"{self.embedding_dim} numbers with a finite, non-zero norm"
+                )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "StubBackend":
@@ -438,13 +474,7 @@ class StubBackend:
         import numpy as np
 
         if text in self.embedding_overrides:
-            vec = _normalize(self.embedding_overrides[text])
-            if vec.shape[0] != self.embedding_dim:
-                raise JudgeError(
-                    f"stub embedding override for {text[:40]!r} has dimension "
-                    f"{vec.shape[0]}, expected {self.embedding_dim}"
-                )
-            return vec
+            return _normalize(self.embedding_overrides[text])
         digest = hashlib.sha256(text.encode("utf-8")).digest()
         rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
         return _normalize(rng.standard_normal(self.embedding_dim))
@@ -708,7 +738,8 @@ class JudgeClient:
     # names the keys and the byte length of each record, then the records
     # back to back. Embedding segments (emb-, one per embed() call that
     # missed) have the header {"dim": d, "keys": [...]} and one raw
-    # SEGMENT_DTYPE row of d values per key, so vectors round-trip bit for
+    # SEGMENT_DTYPE row of d values per key; embed() rounds fresh vectors
+    # through SEGMENT_DTYPE too, so a hit returns a miss's vector bit for
     # bit. Completion segments (cmp-, written by map() and complete()) have
     # {"keys": [...], "sizes": [...]}; a record is the reply's usage as one
     # canonical-JSON line, then the reply's UTF-8 bytes. Only the headers
@@ -1023,11 +1054,13 @@ class JudgeClient:
     def embed(
         self, endpoint: EndpointConfig, texts: Sequence[str]
     ) -> list[np.ndarray]:
-        """L2-normalized float64 embedding per text, cached per (model, text).
+        """L2-normalized embedding per text, cached per (model, text).
 
         Texts cached by any earlier call are read from their segments;
         the others go to the backend in one call, each distinct text
-        once, and are written as one new segment.
+        once, and are written as one new segment. Every vector is the
+        backend's rounded to SEGMENT_DTYPE (float32) and widened back to
+        float64, so a miss and a later hit return the same array.
         """
         import numpy as np
 
@@ -1049,7 +1082,7 @@ class JudgeClient:
             if len(fresh) != len(misses):
                 raise JudgeError("backend returned wrong number of embeddings")
             for key, vec in zip(misses, fresh):
-                vectors[key] = np.asarray(vec, dtype=float)
+                vectors[key] = np.asarray(vec, dtype=SEGMENT_DTYPE).astype(float)
         dims = {v.shape[0] for v in vectors.values()}
         if len(dims) > 1:
             raise JudgeError(f"embedding dimension mismatch in batch: {dims}")

@@ -383,7 +383,25 @@ def test_malformed_config_section_exits_2(tmp_path, capsys, data, message):
 
 @pytest.mark.parametrize(
     "contents",
-    ["not json", "[]", '{"embedding_dim": "x"}', '{"templates": []}'],
+    [
+        "not json",
+        "[]",
+        '{"embedding_dim": "x"}',
+        '{"templates": []}',
+        '{"templates": {"pair_match": {"cases": [1]}}}',
+        '{"templates": {"pair_match": {"cases": 3}}}',
+        '{"templates": {"pair_match": {"cases": [{"when": [1]}]}}}',
+        '{"embeddings": {"x": "abc"}}',
+        '{"embedding_dim": 2, "embeddings": {"x": [1.0, 0.0, 0.0]}}',
+        '{"embedding_dim": 2, "embeddings": {"x": [0, 0]}}',
+        '{"embedding_dim": 2, "embeddings": {"x": [NaN, 1.0]}}',
+        '{"embedding_dim": 2, "embeddings": {"x": [true, 1.0]}}',
+        '{"embedding_dim": 2, "embeddings": {"x": [1e200, 1e200]}}',
+        pytest.param(
+            '{"embedding_dim": 2, "embeddings": {"x": [1%s, 1]}}' % ("0" * 400),
+            id="override-int-past-float-range",
+        ),
+    ],
 )
 def test_malformed_stub_fixture_exits_2(tmp_path, capsys, contents):
     fixture = tmp_path / "stub.json"

@@ -32,11 +32,13 @@ from feedbacklab.judge import (
     EndpointConfig,
     HttpBackend,
     MAX_EMBED_BATCH,
+    SEGMENT_ITEM_BYTES,
     JudgeClient,
     PromptTemplate,
     RateLimiter,
     StubBackend,
     cosine,
+    similar_pairs,
 )
 from feedbacklab.prompts import (
     CORRUPTION_DIMENSIONS,
@@ -815,8 +817,8 @@ def test_embed_dimension_mismatch_detected(tmp_path):
 class RecordingStub(StubBackend):
     """Stub embeddings; records the texts of every backend call."""
 
-    def __init__(self):
-        super().__init__({"embedding_dim": 8})
+    def __init__(self, fixture=None):
+        super().__init__(fixture or {"embedding_dim": 8})
         self.calls = []
 
     def embed(self, endpoint, texts):
@@ -901,7 +903,8 @@ def test_torn_segment_is_a_miss_and_is_rewritten(tmp_path, caplog, torn):
     (segment,) = tmp_path.iterdir()
     whole = segment.read_bytes()
     header_len = whole.index(b"\n") + 1
-    cut = header_len // 2 if torn == "mid-header" else header_len + 8 * 8 + 3
+    row = 8 * SEGMENT_ITEM_BYTES  # embedding_dim 8
+    cut = header_len // 2 if torn == "mid-header" else header_len + row + 3
     segment.write_bytes(whole[:cut])
 
     with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):
@@ -911,6 +914,85 @@ def test_torn_segment_is_a_miss_and_is_rewritten(tmp_path, caplog, torn):
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
     assert list(tmp_path.iterdir()) == [segment]
     assert segment.read_bytes() == whole
+
+
+def test_float64_segment_of_an_older_version_is_a_miss_and_heals(
+    tmp_path, caplog
+):
+    texts = ["x", "y", "z"]
+    fresh_dir = tmp_path / "fresh"
+    JudgeClient(RecordingStub(), cache_dir=fresh_dir).embed(ENDPOINT, texts)
+    (fresh,) = fresh_dir.iterdir()
+    header = fresh.read_bytes().partition(b"\n")[0] + b"\n"
+    # what an older version wrote: the same header, float64 rows
+    cache_dir = tmp_path / "old"
+    cache_dir.mkdir()
+    segment = cache_dir / fresh.name
+    rows = RecordingStub().embed(ENDPOINT, texts)
+    segment.write_bytes(header + b"".join(v.astype("<f8").tobytes() for v in rows))
+    old_payload = segment.stat().st_size - len(header)
+
+    backend = RecordingStub()
+    with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):
+        healed = JudgeClient(backend, cache_dir=cache_dir).embed(ENDPOINT, texts)
+    warnings = [r.getMessage() for r in caplog.records]
+    assert warnings == [
+        f"judge cache: unreadable entry {segment.name}, treated as a miss"
+    ]
+    assert backend.calls == [texts]
+    assert list(cache_dir.iterdir()) == [segment]
+    assert segment.stat().st_size - len(header) == old_payload // 2
+    assert segment.read_bytes() == fresh.read_bytes()
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):
+        again = JudgeClient(backend, cache_dir=cache_dir).embed(ENDPOINT, texts)
+    assert caplog.records == []
+    assert backend.calls == [texts]
+    assert all(np.array_equal(a, b) for a, b in zip(healed, again, strict=True))
+
+
+finite_coords = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def planted_embeddings(draw):
+    """A dimension and a few vectors of it, none near zero."""
+    dim = draw(st.integers(2, 64))
+    vector = st.lists(finite_coords, min_size=dim, max_size=dim).filter(
+        lambda v: max(map(abs, v)) > 1e-3
+    )
+    return dim, draw(st.lists(vector, min_size=2, max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_embeddings(), st.floats(-1.0, 1.0))
+@example((3, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0000001], [-1.0, 0.5, 0.0]]), 1.0)
+def test_float32_store_matches_the_float64_vectors(planted, threshold):
+    dim, originals = planted
+    texts = [f"text {i}" for i in range(len(originals))]
+    backend = RecordingStub(
+        {"embedding_dim": dim, "embeddings": dict(zip(texts, originals))}
+    )
+    exact = [np.asarray(v, dtype=float) for v in originals]
+    exact = [v / np.linalg.norm(v) for v in exact]
+    with tempfile.TemporaryDirectory() as tmp:
+        client = JudgeClient(backend, cache_dir=tmp)
+        cold = client.embed(ENDPOINT, texts)
+        warm = client.embed(ENDPOINT, texts)
+        reopened = JudgeClient(backend, cache_dir=tmp).embed(ENDPOINT, texts)
+    assert backend.calls == [texts]
+    for c, w, r, v in zip(cold, warm, reopened, exact, strict=True):
+        assert c.dtype == w.dtype == r.dtype == np.float64
+        assert np.array_equal(c, w) and np.array_equal(c, r)
+        assert np.array_equal(c, v.astype("<f4").astype(float))
+
+    kept = {(i, j) for i, j, _ in similar_pairs(cold, cold, threshold)}
+    for i, j in itertools.combinations(range(len(texts)), 2):
+        want = cosine(exact[i], exact[j])
+        assert abs(cosine(cold[i], cold[j]) - want) <= 1e-6
+        if abs(want - threshold) > 1e-6:
+            assert ((i, j) in kept) == (want >= threshold)
 
 
 def segment_records(cache_dir):
