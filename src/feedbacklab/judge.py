@@ -18,6 +18,7 @@ import string
 import sys
 import threading
 import time
+import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -57,6 +58,11 @@ MAX_EMBED_BATCH = 256
 # vectors, so commands that never embed start without it.
 SEGMENT_DTYPE = "<f4"
 SEGMENT_ITEM_BYTES = 4
+# Completion records are zlib streams at this level. On 1.1 MB of
+# thread_parse replies, level 1 wrote 5% more bytes than level 6 in two
+# thirds of its time. zlib's Adler-32 check turns a damaged record into a
+# miss.
+ZLIB_LEVEL = 1
 # A top-level map() writes its new completion records in segments that it
 # cuts at item boundaries once this many records have gathered.
 SEGMENT_RECORDS = 32
@@ -633,6 +639,12 @@ def _extract_json(raw: str) -> Any:
     raise json.JSONDecodeError("no JSON value found", raw, 0)
 
 
+def _warn_unreadable(segment: Path) -> None:
+    logger.warning(
+        "judge cache: unreadable entry %s, treated as a miss", segment.name
+    )
+
+
 def _off_cpu_clock() -> float:
     """Wall time less this thread's CPU time: it advances only while the
     thread is off the CPU (sleeping, blocked on I/O, or preempted)."""
@@ -741,9 +753,10 @@ class JudgeClient:
     # SEGMENT_DTYPE row of d values per key; embed() rounds fresh vectors
     # through SEGMENT_DTYPE too, so a hit returns a miss's vector bit for
     # bit. Completion segments (cmp-, written by map() and complete()) have
-    # {"keys": [...], "sizes": [...]}; a record is the reply's usage as one
-    # canonical-JSON line, then the reply's UTF-8 bytes. Only the headers
-    # are kept in memory; records are read from disk on each hit.
+    # {"keys": [...], "zsizes": [...]}; a record is one zlib stream of the
+    # reply's usage as a canonical-JSON line, then the reply's UTF-8 bytes.
+    # Only the headers are kept in memory; records are read from disk on
+    # each hit.
 
     def _cache_key(
         self,
@@ -781,8 +794,8 @@ class JudgeClient:
                 size = os.fstat(fh.fileno()).st_size
             header = json.loads(line)
             keys = header["keys"]
-            if "sizes" in header:
-                sizes = header["sizes"]
+            if "zsizes" in header:
+                sizes = header["zsizes"]
             else:
                 sizes = [header["dim"] * SEGMENT_ITEM_BYTES] * len(keys)
             intact = (
@@ -799,9 +812,7 @@ class JudgeClient:
         if not intact:
             # A torn segment (say, after a power loss) is a miss for all
             # its keys; the call that misses them rewrites it.
-            logger.warning(
-                "judge cache: unreadable entry %s, treated as a miss", path.name
-            )
+            _warn_unreadable(path)
             return
         self._index_records(path, len(line), keys, sizes)
 
@@ -854,8 +865,8 @@ class JudgeClient:
             )
 
     def _write_completions(self, records: Sequence[tuple[str, bytes]]) -> None:
-        sizes = [len(record) for _, record in records]
-        self._write_segment("cmp", {"sizes": sizes}, records)
+        zsizes = [len(record) for _, record in records]
+        self._write_segment("cmp", {"zsizes": zsizes}, records)
 
     def _cache_read(self, key: str) -> tuple[str, Any] | None:
         """(reply, usage) cached under a completion key, or None."""
@@ -865,15 +876,34 @@ class JudgeClient:
             found = self._segment_index().get(key)
         if found is None:
             return None
-        usage, _, raw = self._read_records({key: found})[key].partition(b"\n")
-        return raw.decode("utf-8"), json.loads(usage)
+        try:
+            record = self._read_records({key: found})[key]
+            usage, _, raw = zlib.decompress(record).partition(b"\n")
+            return raw.decode("utf-8"), json.loads(usage)
+        except (FileNotFoundError, zlib.error, ValueError):
+            # A record that fails zlib's check tears its whole segment: its
+            # keys leave the index and miss, and the file is deleted, so it
+            # cannot shadow the segments the fresh replies go to. A read
+            # that raced such a tear finds its key gone or moved, and only
+            # misses.
+            with self._lock:
+                index = self._segment_index()
+                if index.get(key) == found:
+                    path = found[0]
+                    for torn in [k for k, (p, _, _) in index.items() if p == path]:
+                        del index[torn]
+                    path.unlink(missing_ok=True)
+                    _warn_unreadable(path)
+            return None
 
     def _cache_write(self, key: str, raw: str, usage: Mapping[str, Any]) -> None:
         """Keep a fresh reply: with the current map item's records, or,
         outside any map, as a one-record segment."""
         if not self.cache_dir:
             return
-        record = canonical_json(usage).encode() + b"\n" + raw.encode("utf-8")
+        record = zlib.compress(
+            canonical_json(usage).encode() + b"\n" + raw.encode("utf-8"), ZLIB_LEVEL
+        )
         if self._mode.records is None:
             self._write_completions([(key, record)])
         else:

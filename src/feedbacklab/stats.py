@@ -371,12 +371,27 @@ def draw_without_replacement(
     return np.argpartition(keys, k - 1, axis=1)[:, :k]
 
 
+def _sorted_percentile(ordered: np.ndarray, q: float) -> float:
+    """np.percentile(ordered, q) of a sorted 1-D array, 0 < q < 100, by
+    numpy's default "linear" rule and arithmetic, bit for bit. Unlike
+    np.percentile, it does not import numpy.ma."""
+    if math.isnan(ordered[-1]):  # NaNs sort last; any NaN gives NaN
+        return math.nan
+    index = (ordered.size - 1) * (q / 100)
+    below = math.floor(index)
+    gamma = index - below
+    a, b = float(ordered[below]), float(ordered[below + 1])
+    diff = b - a
+    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+
+
 def ci_summary(draws: np.ndarray) -> dict[str, float]:
     """Mean of bootstrap draws with 2.5/97.5 percentile bounds (linear
     interpolation) and half-width."""
     if draws.size < 2:
         raise StatsError("ci_summary: need at least 2 draws")
-    lower, upper = (float(v) for v in np.percentile(draws, [2.5, 97.5]))
+    ordered = np.sort(draws, axis=None)
+    lower, upper = (_sorted_percentile(ordered, q) for q in (2.5, 97.5))
     return {
         "mean": float(draws.mean()),
         "ci_lower": lower,

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import threading
 import time
+import zlib
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -1004,9 +1005,15 @@ def segment_records(cache_dir):
     return out
 
 
+def flip(data, start, count=4):
+    """data with `count` bytes from `start` on inverted."""
+    end = start + count
+    return data[:start] + bytes(b ^ 0xFF for b in data[start:end]) + data[end:]
+
+
 def test_torn_completion_is_a_miss_and_warns_once(tmp_path, caplog):
     pair = [bindings(left="a"), bindings(left="c")]
-    for torn in ("mid-header", "mid-record"):
+    for torn in ("mid-header", "mid-record", "damaged-record"):
         cache_dir = tmp_path / torn
         backend = ScriptedBackend([GOOD] * 4)
         JudgeClient(backend, cache_dir=cache_dir).map_complete(
@@ -1016,8 +1023,12 @@ def test_torn_completion_is_a_miss_and_warns_once(tmp_path, caplog):
         assert segment.name.startswith("cmp-")
         whole = segment.read_bytes()
         header_len = whole.index(b"\n") + 1
-        cut = header_len // 2 if torn == "mid-header" else len(whole) - 3
-        segment.write_bytes(whole[:cut])
+        if torn == "damaged-record":
+            # same size, bytes flipped inside the first record
+            segment.write_bytes(flip(whole, header_len + 10))
+        else:
+            cut = header_len // 2 if torn == "mid-header" else len(whole) - 3
+            segment.write_bytes(whole[:cut])
 
         # the segment's header is read once, by the first lookup
         client = JudgeClient(backend, cache_dir=cache_dir)
@@ -1029,6 +1040,131 @@ def test_torn_completion_is_a_miss_and_warns_once(tmp_path, caplog):
         assert not any(r.cache_hit for r in responses) and len(backend.calls) == 4
         assert list(cache_dir.iterdir()) == [segment]
         assert segment.read_bytes() == whole
+
+
+def test_damaged_later_record_deletes_its_segment(tmp_path, caplog):
+    # the first record hits, the damaged second tears the segment; its
+    # reply goes to a new segment, and the deleted one shadows nothing
+    pair = [bindings(left="a"), bindings(left="c")]
+    backend = ScriptedBackend([GOOD] * 4)
+    first = JudgeClient(backend, cache_dir=tmp_path).map_complete(
+        ENDPOINT, PAIR_MATCH, pair
+    )
+    (segment,) = tmp_path.iterdir()
+    whole = segment.read_bytes()
+    segment.write_bytes(flip(whole, len(whole) - 20))
+
+    hits = []
+    for _ in range(3):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):
+            responses = JudgeClient(backend, cache_dir=tmp_path).map_complete(
+                ENDPOINT, PAIR_MATCH, pair
+            )
+        assert [r.parsed for r in responses] == [r.parsed for r in first]
+        hits.append(([r.cache_hit for r in responses], caplog.text))
+    assert hits[0][0] == [True, False]
+    assert hits[0][1].count(f"unreadable entry {segment.name}") == 1
+    assert not segment.exists()
+    # the record served from the deleted segment is fetched once more
+    assert hits[1:] == [([False, True], ""), ([True, True], "")]
+    assert len(backend.calls) == 4
+
+
+def test_segment_deleted_under_a_client_is_a_miss(tmp_path, caplog):
+    # what a read sees when another thread tore the segment after this
+    # one looked its key up
+    backend = ScriptedBackend([GOOD] * 2)
+    client = JudgeClient(backend, cache_dir=tmp_path)
+    client.complete(ENDPOINT, PAIR_MATCH, bindings())
+    (segment,) = tmp_path.iterdir()
+    whole = segment.read_bytes()
+    segment.unlink()
+    with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):
+        again = client.complete(ENDPOINT, PAIR_MATCH, bindings())
+    assert not again.cache_hit and len(backend.calls) == 2
+    assert caplog.text.count(f"unreadable entry {segment.name}") == 1
+    assert segment.read_bytes() == whole
+
+
+def test_completion_segment_of_an_older_version_is_a_miss_and_heals(
+    tmp_path, caplog
+):
+    pair = [bindings(left="a"), bindings(left="c")]
+    fresh_dir = tmp_path / "fresh"
+    JudgeClient(ScriptedBackend([GOOD] * 2), cache_dir=fresh_dir).map_complete(
+        ENDPOINT, PAIR_MATCH, pair
+    )
+    (fresh,) = fresh_dir.iterdir()
+    keys = json.loads(fresh.read_bytes().partition(b"\n")[0])["keys"]
+    # what an older version wrote: the sizes of raw records
+    usage = canonical_json({"prompt_tokens": 1, "completion_tokens": 1})
+    records = [f"{usage}\n{GOOD}".encode()] * 2
+    header = canonical_json({"keys": keys, "sizes": [len(r) for r in records]})
+    cache_dir = tmp_path / "old"
+    cache_dir.mkdir()
+    segment = cache_dir / fresh.name
+    segment.write_bytes(header.encode() + b"\n" + b"".join(records))
+
+    backend = ScriptedBackend([GOOD] * 2)
+    with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):
+        healed = JudgeClient(backend, cache_dir=cache_dir).map_complete(
+            ENDPOINT, PAIR_MATCH, pair
+        )
+    warnings = [r.getMessage() for r in caplog.records]
+    assert warnings == [
+        f"judge cache: unreadable entry {segment.name}, treated as a miss"
+    ]
+    assert not any(r.cache_hit for r in healed) and len(backend.calls) == 2
+    assert list(cache_dir.iterdir()) == [segment]
+    assert segment.read_bytes() == fresh.read_bytes()
+    line, _, payload = segment.read_bytes().partition(b"\n")
+    zsizes = json.loads(line)["zsizes"]
+    assert sum(zsizes) == len(payload)
+    assert zlib.decompress(payload[: zsizes[0]]) == records[0]
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):
+        again = JudgeClient(backend, cache_dir=cache_dir).map_complete(
+            ENDPOINT, PAIR_MATCH, pair
+        )
+    assert caplog.records == []
+    assert all(r.cache_hit for r in again) and len(backend.calls) == 2
+    assert [r.parsed for r in again] == [r.parsed for r in healed]
+
+
+def test_damaged_records_under_thread_contention(tmp_path, caplog):
+    lefts = [f"flat {i}" for i in range(64)]
+    writer = JudgeClient(EchoBackend(delay=0), cache_dir=tmp_path)
+    writer.map(lambda left: echo(writer, ENDPOINT, left), lefts)
+    segments = sorted(tmp_path.iterdir())
+    assert len(segments) == 2
+    for segment in segments:
+        whole = segment.read_bytes()
+        # inside the records, halfway
+        records_at = whole.index(b"\n") + 1
+        segment.write_bytes(flip(whole, (records_at + len(whole)) // 2))
+
+    client = JudgeClient(EchoBackend(delay=0), cache_dir=tmp_path)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda left: echo(client, ENDPOINT, left), lefts))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == lefts
+    for segment in segments:
+        assert caplog.text.count(f"unreadable entry {segment.name}") == 1
+        assert not segment.exists()
+    # every reply is whole on disk again: a reopened client fetches the
+    # ones served before the tears once, and the next fetches nothing
+    backend = EchoBackend(delay=0)
+    for _ in range(2):
+        reopened = JudgeClient(backend, cache_dir=tmp_path)
+        assert [echo(reopened, ENDPOINT, left) for left in lefts] == lefts
+    assert len(backend.calls) == len(set(backend.calls))
 
 
 def test_map_writes_segments_of_whole_items_in_input_order(tmp_path):

@@ -1,14 +1,18 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import feedbacklab
 from feedbacklab.errors import StatsError
 from feedbacklab.stats import (
     ContingencyTable,
@@ -387,3 +391,58 @@ def test_ci_summary_matches_numpy():
     assert out["ci_half_width"] == pytest.approx((ref_hi - ref_lo) / 2, abs=1e-12)
     with pytest.raises(StatsError):
         ci_summary(np.array([1.0]))
+
+
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+# wide, but not so wide that the mean of the draws overflows
+finite = st.floats(-1e300, 1e300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(finite, min_size=2, max_size=50),
+        # ties
+        st.lists(st.sampled_from([-1.5, 0.0, 0.25, 1.0]), min_size=2, max_size=80),
+        # large n, from rounded draws so ties occur there too
+        st.tuples(st.integers(1_000, 20_000), st.integers(0, 2**32 - 1)).map(
+            lambda t: np.round(np.random.default_rng(t[1]).random(t[0]), 3).tolist()
+        ),
+    )
+)
+@example([3.0, -1.0])
+@example([0.1, 0.2])
+@example([1.0, math.nan, 3.0])
+@example([5.0] * 41)
+# gamma = 0.5 for the lower bound, where numpy's two interpolation
+# formulas give different last bits
+@example([6.091389690280708e-120, 1.0151253021450147e-116] + [1.0] * 19)
+def test_ci_summary_bounds_equal_numpy_percentile(values):
+    draws = np.array(values)
+    out = ci_summary(draws)
+    ref_lo, ref_hi = (float(v) for v in np.percentile(draws, [2.5, 97.5]))
+    assert same_float(out["ci_lower"], ref_lo)
+    assert same_float(out["ci_upper"], ref_hi)
+
+
+def test_ci_summary_does_not_import_numpy_ma():
+    paths = [os.path.dirname(os.path.dirname(feedbacklab.__file__))]
+    paths += filter(None, [os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    probe = (
+        "import sys, numpy as np; from feedbacklab.stats import ci_summary; "
+        "ci_summary(np.random.default_rng(0).random(1000)); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
