@@ -15,6 +15,7 @@ import logging
 import math
 import os
 import string
+import struct
 import sys
 import threading
 import time
@@ -51,17 +52,24 @@ MAX_HTTP_ATTEMPTS = 5
 BACKOFF_BASE_SECONDS = 0.5
 # Texts per embeddings POST; larger batches are split and the rows joined.
 MAX_EMBED_BATCH = 256
-# Embedding segments hold raw little-endian float32 rows after the header,
-# the precision embedding endpoints serve; embed() widens them to float64.
-# A float64 segment of an older version fails the header's size check and
-# is rewritten. numpy is imported only in the functions that handle
-# vectors, so commands that never embed start without it.
+# Every cache segment (see JudgeClient's cache section) starts with
+# SEGMENT_MAGIC, the record count and the crc32 of its entry table; each
+# entry is a raw sha256 cache key, its record's byte length and the
+# record's crc32. An older layout fails the magic, and is deleted.
+SEGMENT_MAGIC = b"FLC\x03"
+_SEGMENT_HEAD = struct.Struct("<4sII")
+_SEGMENT_ENTRY = struct.Struct("<32sII")
+# Embedding records are raw little-endian float32 rows, the precision
+# embedding endpoints serve; embed() widens them to float64. numpy is
+# imported only in the functions that handle vectors, so commands that
+# never embed start without it.
 SEGMENT_DTYPE = "<f4"
-SEGMENT_ITEM_BYTES = 4
-# Completion records are zlib streams at this level. On 1.1 MB of
+# Completion records are zlib streams at this level, each compressed
+# against its own prompt as a preset dictionary (RFC 1950's FDICT), since
+# a reply repeats its prompt's keys, labels and quoted spans. On 1.1 MB of
 # thread_parse replies, level 1 wrote 5% more bytes than level 6 in two
-# thirds of its time. zlib's Adler-32 check turns a damaged record into a
-# miss.
+# thirds of its time. The dictionary's Adler-32 in the stream's header
+# turns a record read under another prompt into a miss.
 ZLIB_LEVEL = 1
 # A top-level map() writes its new completion records in segments that it
 # cuts at item boundaries once this many records have gathered.
@@ -645,10 +653,37 @@ def _warn_unreadable(segment: Path) -> None:
     )
 
 
+def _embedding_key_material(model_name: str, text: str) -> bytes:
+    """What an embedding's cache key hashes: the model name, prefixed by
+    its length so that no (model, text) pair runs into another, then the
+    text."""
+    model = model_name.encode("utf-8")
+    return b"emb\0" + struct.pack("<I", len(model)) + model + text.encode("utf-8")
+
+
+def _deflate(data: bytes, prompt: bytes) -> bytes:
+    codec = zlib.compressobj(ZLIB_LEVEL, zdict=prompt)
+    return codec.compress(data) + codec.flush()
+
+
+def _inflate(record: bytes, prompt: bytes) -> bytes:
+    """_deflate reversed; zlib.error unless record is one whole stream
+    compressed against prompt."""
+    codec = zlib.decompressobj(zdict=prompt)
+    data = codec.decompress(record)
+    if not codec.eof or codec.unused_data:
+        raise zlib.error("not one whole stream")
+    return data
+
+
 def _off_cpu_clock() -> float:
     """Wall time less this thread's CPU time: it advances only while the
     thread is off the CPU (sleeping, blocked on I/O, or preempted)."""
     return time.perf_counter() - time.thread_time()
+
+
+# Where a cached record is: (segment, byte offset, byte length, crc32).
+_Entry = tuple[Path, int, int, int]
 
 
 class _Budget:
@@ -665,7 +700,7 @@ class _Mode(threading.local):
     waited: _Budget | None = None
     # The new completion records of the map item this thread runs,
     # (key, record) in the order its calls made them; None outside any map.
-    records: list[tuple[str, bytes]] | None = None
+    records: list[tuple[bytes, bytes]] | None = None
 
 
 class _Batch:
@@ -676,12 +711,12 @@ class _Batch:
     thread fetched what.
     """
 
-    def __init__(self, write: Callable[[list[tuple[str, bytes]]], None]):
+    def __init__(self, write: Callable[[list[tuple[bytes, bytes]]], None]):
         self._write = write
-        self._seen: set[str] = set()
-        self._segment: list[tuple[str, bytes]] = []
+        self._seen: set[bytes] = set()
+        self._segment: list[tuple[bytes, bytes]] = []
 
-    def add(self, records: Sequence[tuple[str, bytes]]) -> None:
+    def add(self, records: Sequence[tuple[bytes, bytes]]) -> None:
         for key, record in records:
             if key not in self._seen:
                 self._seen.add(key)
@@ -714,9 +749,9 @@ class JudgeClient:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
         # Guards cache writes and the segment index.
         self._lock = threading.Lock()
-        # Cache key -> (segment, byte offset of its record, byte length),
-        # built from the segments' header lines by the first lookup.
-        self._segments: dict[str, tuple[Path, int, int]] | None = None
+        # Cache key -> (segment, byte offset of its record, byte length,
+        # crc32), built from the segments' entry tables by the first lookup.
+        self._segments: dict[bytes, _Entry] | None = None
         self._budgets: dict[tuple[str, int], _Budget] = {}
         self._budgets_lock = threading.Lock()
         self._mode = _Mode()
@@ -746,17 +781,17 @@ class JudgeClient:
     # -- cache ---------------------------------------------------------
     #
     # The cache directory holds content-addressed segments,
-    # <kind>-<sha256 of their keys>.bin: a canonical-JSON header line that
-    # names the keys and the byte length of each record, then the records
-    # back to back. Embedding segments (emb-, one per embed() call that
-    # missed) have the header {"dim": d, "keys": [...]} and one raw
-    # SEGMENT_DTYPE row of d values per key; embed() rounds fresh vectors
-    # through SEGMENT_DTYPE too, so a hit returns a miss's vector bit for
-    # bit. Completion segments (cmp-, written by map() and complete()) have
-    # {"keys": [...], "zsizes": [...]}; a record is one zlib stream of the
-    # reply's usage as a canonical-JSON line, then the reply's UTF-8 bytes.
-    # Only the headers are kept in memory; records are read from disk on
-    # each hit.
+    # <kind>-<sha256 of their raw keys>.bin: SEGMENT_MAGIC, the record
+    # count and the crc32 of the entry table, then the table (each raw
+    # sha256 key, with its record's byte length and crc32), then the
+    # records back to back. Embedding segments (emb-, one per embed() call
+    # that missed) hold one raw SEGMENT_DTYPE row per key; embed() rounds
+    # fresh vectors through SEGMENT_DTYPE too, so a hit returns a miss's
+    # vector bit for bit. Completion segments (cmp-, written by map() and
+    # complete()) hold one zlib stream per key, compressed against the
+    # prompt the key hashes: the reply's usage as a canonical-JSON line,
+    # then the reply's UTF-8 bytes. Only the tables are kept in memory;
+    # records are read from disk, and checked, on each hit.
 
     def _cache_key(
         self,
@@ -764,7 +799,7 @@ class JudgeClient:
         template: PromptTemplate,
         system_text: str,
         user_text: str,
-    ) -> str:
+    ) -> bytes:
         material = canonical_json(
             {
                 "template": template.name,
@@ -775,100 +810,125 @@ class JudgeClient:
                 "decoding": endpoint.decoding_params(),
             }
         )
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
+        return hashlib.sha256(material.encode("utf-8")).digest()
 
-    def _segment_index(self) -> dict[str, tuple[Path, int, int]]:
-        """The key -> (segment, offset, length) index; hold self._lock."""
+    def _segment_index(self) -> dict[bytes, _Entry]:
+        """The key -> entry index; hold self._lock."""
         if self._segments is None:
             self._segments = {}
             if self.cache_dir:
-                for path in sorted(self.cache_dir.iterdir()):
-                    if path.suffix == ".bin":
-                        self._index_segment(path)
+                unreadable = [
+                    path
+                    for path in sorted(self.cache_dir.iterdir())
+                    if path.suffix == ".bin" and not self._index_segment(path)
+                ]
+                # A segment whose table fails its checks (a torn file, or
+                # an older layout) is a miss for all its keys, and is
+                # deleted: a rewrite replaces it only if the same keys miss
+                # together, and never an older layout's file, whose name
+                # hashed hex keys. atomic_write never leaves a partial
+                # segment under its final name, so none is deleted mid-write.
+                for path in unreadable:
+                    path.unlink(missing_ok=True)
+                if unreadable:
+                    # One warning, which names the first few.
+                    named = [f"unreadable entry {p.name}" for p in unreadable[:5]]
+                    if len(unreadable) > len(named):
+                        named.append(f"and {len(unreadable) - len(named)} more")
+                    logger.warning(
+                        "judge cache: %d unreadable segment(s) deleted, treated "
+                        "as misses: %s",
+                        len(unreadable),
+                        ", ".join(named),
+                    )
         return self._segments
 
-    def _index_segment(self, path: Path) -> None:
-        try:
-            with open(path, "rb") as fh:
-                line = fh.readline()
-                size = os.fstat(fh.fileno()).st_size
-            header = json.loads(line)
-            keys = header["keys"]
-            if "zsizes" in header:
-                sizes = header["zsizes"]
-            else:
-                sizes = [header["dim"] * SEGMENT_ITEM_BYTES] * len(keys)
-            intact = (
-                line.endswith(b"\n")
-                and isinstance(keys, list)
-                and all(isinstance(k, str) for k in keys)
-                and isinstance(sizes, list)
-                and len(sizes) == len(keys)
-                and all(type(n) is int and n > 0 for n in sizes)
-                and size == len(line) + sum(sizes)
-            )
-        except (KeyError, TypeError, ValueError):
-            intact = False
-        if not intact:
-            # A torn segment (say, after a power loss) is a miss for all
-            # its keys; the call that misses them rewrites it.
-            _warn_unreadable(path)
-            return
-        self._index_records(path, len(line), keys, sizes)
+    def _index_segment(self, path: Path) -> bool:
+        """Index a segment's entries; False if its table is unreadable."""
+        with open(path, "rb") as fh:
+            head = fh.read(_SEGMENT_HEAD.size)
+            size = os.fstat(fh.fileno()).st_size
+            if len(head) < _SEGMENT_HEAD.size:
+                return False
+            magic, count, crc = _SEGMENT_HEAD.unpack(head)
+            offset = _SEGMENT_HEAD.size + count * _SEGMENT_ENTRY.size
+            if magic != SEGMENT_MAGIC or offset > size:
+                return False
+            table = fh.read(offset - _SEGMENT_HEAD.size)
+        entries = list(_SEGMENT_ENTRY.iter_unpack(table))
+        if zlib.crc32(table) != crc or size != offset + sum(n for _, n, _ in entries):
+            return False
+        self._index_entries(path, offset, entries)
+        return True
 
-    def _index_records(
-        self, path: Path, offset: int, keys: Sequence[str], sizes: Iterable[int]
+    def _index_entries(
+        self, path: Path, offset: int, entries: Iterable[tuple[bytes, int, int]]
     ) -> None:
-        for key, size in zip(keys, sizes):
-            self._segments[key] = (path, offset, size)
+        for key, size, crc in entries:
+            self._segments[key] = (path, offset, size, crc)
             offset += size
 
-    @staticmethod
-    def _read_records(
-        found: Mapping[str, tuple[Path, int, int]]
-    ) -> dict[str, bytes]:
-        """Cached records by key, with one read per segment touched."""
-        by_segment: dict[Path, list[tuple[str, int, int]]] = {}
-        for key, (path, offset, size) in found.items():
-            by_segment.setdefault(path, []).append((key, offset, size))
-        records: dict[str, bytes] = {}
-        for path, spans in by_segment.items():
-            start = min(offset for _, offset, _ in spans)
-            end = max(offset + size for _, offset, size in spans)
-            with open(path, "rb") as fh:
-                fh.seek(start)
-                data = fh.read(end - start)
-            for key, offset, size in spans:
-                records[key] = data[offset - start : offset - start + size]
+    def _read_records(self, found: Mapping[bytes, _Entry]) -> dict[bytes, bytes]:
+        """Cached records by key, with one read per segment touched. A
+        segment that is gone or holds a record that fails its crc32 is
+        torn, and its keys are left out."""
+        by_segment: dict[Path, list[tuple[bytes, _Entry]]] = {}
+        for key, entry in found.items():
+            by_segment.setdefault(entry[0], []).append((key, entry))
+        records: dict[bytes, bytes] = {}
+        for path, entries in by_segment.items():
+            start = min(offset for _, (_, offset, _, _) in entries)
+            end = max(offset + size for _, (_, offset, size, _) in entries)
+            try:
+                with open(path, "rb") as fh:
+                    fh.seek(start)
+                    data = fh.read(end - start)
+            except FileNotFoundError:
+                data = b""
+            got = {
+                key: data[offset - start : offset - start + size]
+                for key, (_, offset, size, _) in entries
+            }
+            if all(
+                len(got[key]) == size and zlib.crc32(got[key]) == crc
+                for key, (_, _, size, crc) in entries
+            ):
+                records.update(got)
+            else:
+                self._tear(*entries[0])
         return records
 
-    def _write_segment(
-        self,
-        kind: str,
-        fields: Mapping[str, Any],
-        records: Sequence[tuple[str, bytes]],
-    ) -> None:
+    def _tear(self, key: bytes, found: _Entry) -> None:
+        """Drop the segment that holds key: all its keys leave the index
+        and miss, and the file is deleted, so it cannot shadow the
+        segments the fresh records go to. A read that raced such a tear
+        finds its key gone or moved, and only misses."""
+        with self._lock:
+            index = self._segment_index()
+            if index.get(key) == found:
+                path = found[0]
+                for torn in [k for k, entry in index.items() if entry[0] == path]:
+                    del index[torn]
+                path.unlink(missing_ok=True)
+                _warn_unreadable(path)
+
+    def _write_segment(self, kind: str, records: Sequence[tuple[bytes, bytes]]) -> None:
         """Write (key, record) pairs as one segment and index them."""
         if not self.cache_dir:
             return
-        keys = [key for key, _ in records]
-        header = (canonical_json({**fields, "keys": keys}) + "\n").encode()
-        name = hashlib.sha256("".join(keys).encode("ascii")).hexdigest()
+        entries = [(key, len(record), zlib.crc32(record)) for key, record in records]
+        table = b"".join(_SEGMENT_ENTRY.pack(*entry) for entry in entries)
+        head = _SEGMENT_HEAD.pack(SEGMENT_MAGIC, len(entries), zlib.crc32(table))
+        name = hashlib.sha256(b"".join(key for key, _ in records)).hexdigest()
         path = self.cache_dir / f"{kind}-{name}.bin"
         with self._lock:
             with atomic_write(path, "wb") as fh:
-                fh.write(header)
+                fh.write(head + table)
                 fh.writelines(record for _, record in records)
             self._segment_index()
-            self._index_records(
-                path, len(header), keys, (len(record) for _, record in records)
-            )
+            self._index_entries(path, _SEGMENT_HEAD.size + len(table), entries)
 
-    def _write_completions(self, records: Sequence[tuple[str, bytes]]) -> None:
-        zsizes = [len(record) for _, record in records]
-        self._write_segment("cmp", {"zsizes": zsizes}, records)
-
-    def _cache_read(self, key: str) -> tuple[str, Any] | None:
+    def _cache_read(self, key: bytes, prompt: bytes) -> tuple[str, Any] | None:
         """(reply, usage) cached under a completion key, or None."""
         if not self.cache_dir:
             return None
@@ -876,36 +936,30 @@ class JudgeClient:
             found = self._segment_index().get(key)
         if found is None:
             return None
+        record = self._read_records({key: found}).get(key)
+        if record is None:
+            return None
         try:
-            record = self._read_records({key: found})[key]
-            usage, _, raw = zlib.decompress(record).partition(b"\n")
+            usage, _, raw = _inflate(record, prompt).partition(b"\n")
             return raw.decode("utf-8"), json.loads(usage)
-        except (FileNotFoundError, zlib.error, ValueError):
-            # A record that fails zlib's check tears its whole segment: its
-            # keys leave the index and miss, and the file is deleted, so it
-            # cannot shadow the segments the fresh replies go to. A read
-            # that raced such a tear finds its key gone or moved, and only
-            # misses.
-            with self._lock:
-                index = self._segment_index()
-                if index.get(key) == found:
-                    path = found[0]
-                    for torn in [k for k, (p, _, _) in index.items() if p == path]:
-                        del index[torn]
-                    path.unlink(missing_ok=True)
-                    _warn_unreadable(path)
+        except (zlib.error, ValueError):
+            # A whole record that is not this prompt's reply tears its
+            # segment too.
+            self._tear(key, found)
             return None
 
-    def _cache_write(self, key: str, raw: str, usage: Mapping[str, Any]) -> None:
+    def _cache_write(
+        self, key: bytes, prompt: bytes, raw: str, usage: Mapping[str, Any]
+    ) -> None:
         """Keep a fresh reply: with the current map item's records, or,
         outside any map, as a one-record segment."""
         if not self.cache_dir:
             return
-        record = zlib.compress(
-            canonical_json(usage).encode() + b"\n" + raw.encode("utf-8"), ZLIB_LEVEL
+        record = _deflate(
+            canonical_json(usage).encode() + b"\n" + raw.encode("utf-8"), prompt
         )
         if self._mode.records is None:
-            self._write_completions([(key, record)])
+            self._write_segment("cmp", [(key, record)])
         else:
             self._mode.records.append((key, record))
 
@@ -929,7 +983,10 @@ class JudgeClient:
     ) -> JudgeResponse:
         system_text, user_text = template.render(bindings)
         key = self._cache_key(endpoint, template, system_text, user_text)
-        cached = self._cache_read(key)
+        # The dictionary that key's record is compressed against; a
+        # repaired reply's too, though its repair prompt differs.
+        prompt = (system_text + "\n" + user_text).encode("utf-8")
+        cached = self._cache_read(key, prompt)
         if cached is not None:
             raw, usage = cached
             # The reply was validated before it was cached.
@@ -973,7 +1030,7 @@ class JudgeClient:
                     raw_text=raw,
                 ) from None
 
-        self._cache_write(key, raw, usage)
+        self._cache_write(key, prompt, raw, usage)
         return JudgeResponse(
             raw_text=raw,
             parsed=parsed,
@@ -1011,9 +1068,12 @@ class JudgeClient:
         and those it made itself are still written.
         """
         mode = self._mode
-        batch = _Batch(self._write_completions) if mode.records is None else None
+        if mode.records is None:
+            batch = _Batch(functools.partial(self._write_segment, "cmp"))
+        else:
+            batch = None
         keep = batch.add if batch else mode.records.extend
-        records: list[list[tuple[str, bytes]] | None] = [None] * len(items)
+        records: list[list[tuple[bytes, bytes]] | None] = [None] * len(items)
         done: list[R] = []
 
         def run(i: int) -> R:
@@ -1075,18 +1135,13 @@ class JudgeClient:
 
     # -- embeddings ----------------------------------------------------
 
-    def _embedding_cache_key(self, endpoint: EndpointConfig, text: str) -> str:
-        material = canonical_json(
-            {"kind": "embedding", "model": endpoint.model_name, "text": text}
-        )
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
     def embed(
         self, endpoint: EndpointConfig, texts: Sequence[str]
     ) -> list[np.ndarray]:
         """L2-normalized embedding per text, cached per (model, text).
 
-        Texts cached by any earlier call are read from their segments;
+        Texts cached by any earlier call are read from their segments (a
+        row that fails its crc32 tears its segment, whose texts miss);
         the others go to the backend in one call, each distinct text
         once, and are written as one new segment. Every vector is the
         backend's rounded to SEGMENT_DTYPE (float32) and widened back to
@@ -1096,7 +1151,10 @@ class JudgeClient:
 
         if any(not t for t in texts):
             raise PipelineError("embed: empty string in batch")
-        keys = [self._embedding_cache_key(endpoint, t) for t in texts]
+        keys = [
+            hashlib.sha256(_embedding_key_material(endpoint.model_name, t)).digest()
+            for t in texts
+        ]
         with self._lock:
             index = self._segment_index()
             found = {k: index[k] for k in keys if k in index}
@@ -1118,8 +1176,6 @@ class JudgeClient:
             raise JudgeError(f"embedding dimension mismatch in batch: {dims}")
         if misses:
             self._write_segment(
-                "emb",
-                {"dim": dims.pop()},
-                [(k, vectors[k].astype(SEGMENT_DTYPE).tobytes()) for k in misses],
+                "emb", [(k, vectors[k].astype(SEGMENT_DTYPE).tobytes()) for k in misses]
             )
         return [vectors[k] for k in keys]

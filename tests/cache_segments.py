@@ -1,0 +1,59 @@
+"""The judge cache's segment layout, stated apart from the code that
+writes it, for tests that read segments or plant them.
+
+A segment is b"FLC\\x03", the record count and the crc32 of the entry
+table (little-endian u32s), then the table, one entry per record (the
+raw 32-byte sha256 key, the record's byte length and its crc32), then
+the records back to back.
+"""
+
+import struct
+import zlib
+from pathlib import Path
+
+MAGIC = b"FLC\x03"
+HEAD = struct.Struct("<4sII")
+ENTRY = struct.Struct("<32sII")
+
+
+def segment_bytes(records):
+    """A segment holding (key, record) pairs, in order."""
+    table = b"".join(ENTRY.pack(k, len(r), zlib.crc32(r)) for k, r in records)
+    return (
+        HEAD.pack(MAGIC, len(records), zlib.crc32(table))
+        + table
+        + b"".join(r for _, r in records)
+    )
+
+
+def table_size(data):
+    """Bytes of data before its first record."""
+    return HEAD.size + HEAD.unpack_from(data)[1] * ENTRY.size
+
+
+def read_segment(path):
+    """The (key, record) pairs of a whole segment, in order."""
+    data = Path(path).read_bytes()
+    magic, count, crc = HEAD.unpack_from(data)
+    table = data[HEAD.size : table_size(data)]
+    assert magic == MAGIC and zlib.crc32(table) == crc
+    records, offset = [], len(table) + HEAD.size
+    for key, size, record_crc in ENTRY.iter_unpack(table):
+        records.append((key, data[offset : offset + size]))
+        assert zlib.crc32(records[-1][1]) == record_crc
+        offset += size
+    assert offset == len(data)
+    return records
+
+
+def segment_keys(path):
+    return [key for key, _ in read_segment(path)]
+
+
+def record_spans(data):
+    """(start, end) of each record in a segment's bytes."""
+    spans, offset = [], table_size(data)
+    for _, size, _ in ENTRY.iter_unpack(data[HEAD.size : offset]):
+        spans.append((offset, offset + size))
+        offset += size
+    return spans

@@ -46,6 +46,7 @@ from feedbacklab.errors import IngestError
 from feedbacklab.ingest import load_corpus, make_store, save_corpus
 from feedbacklab.judge import EndpointConfig, HttpBackend, StubBackend
 from feedbacklab.prompts import PAIR_MATCH
+from cache_segments import segment_keys
 from test_judgeclient import (
     GOOD,
     FakeResponse,
@@ -177,11 +178,6 @@ def test_rerun_is_byte_identical(tmp_path):
     assert main(args) == 0
     assert only_run_dir(tmp_path) == run_dir
     assert snapshot(run_dir) == first
-
-
-def segment_keys(segment: Path) -> list[str]:
-    with open(segment, "rb") as fh:
-        return json.loads(fh.readline())["keys"]
 
 
 def test_torn_cache_entry_is_a_miss_and_is_rewritten(tmp_path, caplog, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import logging
@@ -33,7 +34,7 @@ from feedbacklab.judge import (
     EndpointConfig,
     HttpBackend,
     MAX_EMBED_BATCH,
-    SEGMENT_ITEM_BYTES,
+    SEGMENT_DTYPE,
     JudgeClient,
     PromptTemplate,
     RateLimiter,
@@ -47,6 +48,13 @@ from feedbacklab.prompts import (
     QUALITY_DIMENSIONS,
     REGISTRY,
     prompt_versions,
+)
+from cache_segments import (
+    read_segment,
+    record_spans,
+    segment_bytes,
+    segment_keys,
+    table_size,
 )
 
 GOOD = canonical_json({"match": "1", "explanation": "same point"})
@@ -903,8 +911,8 @@ def test_torn_segment_is_a_miss_and_is_rewritten(tmp_path, caplog, torn):
     first = JudgeClient(backend, cache_dir=tmp_path).embed(ENDPOINT, ["x", "y"])
     (segment,) = tmp_path.iterdir()
     whole = segment.read_bytes()
-    header_len = whole.index(b"\n") + 1
-    row = 8 * SEGMENT_ITEM_BYTES  # embedding_dim 8
+    header_len = table_size(whole)
+    row = 8 * np.dtype(SEGMENT_DTYPE).itemsize  # embedding_dim 8
     cut = header_len // 2 if torn == "mid-header" else header_len + row + 3
     segment.write_bytes(whole[:cut])
 
@@ -917,6 +925,25 @@ def test_torn_segment_is_a_miss_and_is_rewritten(tmp_path, caplog, torn):
     assert segment.read_bytes() == whole
 
 
+def old_embedding_segment(cache_dir, texts, dtype):
+    """What an older version wrote for texts: a JSON header line of hex
+    keys, then the rows as dtype."""
+    keys = [
+        hashlib.sha256(
+            canonical_json(
+                {"kind": "embedding", "model": ENDPOINT.model_name, "text": t}
+            ).encode()
+        ).hexdigest()
+        for t in texts
+    ]
+    rows = RecordingStub().embed(ENDPOINT, texts)
+    name = hashlib.sha256("".join(keys).encode("ascii")).hexdigest()
+    segment = cache_dir / f"emb-{name}.bin"
+    header = (canonical_json({"dim": 8, "keys": keys}) + "\n").encode()
+    segment.write_bytes(header + b"".join(v.astype(dtype).tobytes() for v in rows))
+    return segment
+
+
 def test_float64_segment_of_an_older_version_is_a_miss_and_heals(
     tmp_path, caplog
 ):
@@ -924,26 +951,27 @@ def test_float64_segment_of_an_older_version_is_a_miss_and_heals(
     fresh_dir = tmp_path / "fresh"
     JudgeClient(RecordingStub(), cache_dir=fresh_dir).embed(ENDPOINT, texts)
     (fresh,) = fresh_dir.iterdir()
-    header = fresh.read_bytes().partition(b"\n")[0] + b"\n"
-    # what an older version wrote: the same header, float64 rows
     cache_dir = tmp_path / "old"
     cache_dir.mkdir()
-    segment = cache_dir / fresh.name
-    rows = RecordingStub().embed(ENDPOINT, texts)
-    segment.write_bytes(header + b"".join(v.astype("<f8").tobytes() for v in rows))
-    old_payload = segment.stat().st_size - len(header)
+    # float64 rows, then the float32 rows of the version after it
+    old = sorted(
+        [
+            old_embedding_segment(cache_dir, texts, "<f8"),
+            old_embedding_segment(cache_dir, texts[1:], "<f4"),
+        ]
+    )
 
     backend = RecordingStub()
     with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):
         healed = JudgeClient(backend, cache_dir=cache_dir).embed(ENDPOINT, texts)
     warnings = [r.getMessage() for r in caplog.records]
     assert warnings == [
-        f"judge cache: unreadable entry {segment.name}, treated as a miss"
+        "judge cache: 2 unreadable segment(s) deleted, treated as misses: "
+        f"unreadable entry {old[0].name}, unreadable entry {old[1].name}"
     ]
-    assert backend.calls == [texts]
-    assert list(cache_dir.iterdir()) == [segment]
-    assert segment.stat().st_size - len(header) == old_payload // 2
-    assert segment.read_bytes() == fresh.read_bytes()
+    assert backend.calls == [texts]  # one fetch per record
+    assert list(cache_dir.iterdir()) == [cache_dir / fresh.name]
+    assert (cache_dir / fresh.name).read_bytes() == fresh.read_bytes()
 
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):
@@ -998,11 +1026,8 @@ def test_float32_store_matches_the_float64_vectors(planted, threshold):
 
 def segment_records(cache_dir):
     """Keys of each completion segment, by file name."""
-    out = {}
-    for path in sorted(cache_dir.glob("cmp-*.bin")):
-        with open(path, "rb") as fh:
-            out[path.name] = json.loads(fh.readline())["keys"]
-    return out
+    paths = sorted(cache_dir.glob("cmp-*.bin"))
+    return {path.name: segment_keys(path) for path in paths}
 
 
 def flip(data, start, count=4):
@@ -1022,7 +1047,7 @@ def test_torn_completion_is_a_miss_and_warns_once(tmp_path, caplog):
         (segment,) = cache_dir.iterdir()
         assert segment.name.startswith("cmp-")
         whole = segment.read_bytes()
-        header_len = whole.index(b"\n") + 1
+        header_len = table_size(whole)
         if torn == "damaged-record":
             # same size, bytes flipped inside the first record
             segment.write_bytes(flip(whole, header_len + 10))
@@ -1087,6 +1112,12 @@ def test_segment_deleted_under_a_client_is_a_miss(tmp_path, caplog):
     assert segment.read_bytes() == whole
 
 
+def prompt_of(left):
+    """The dictionary a PAIR_MATCH reply's record is compressed against."""
+    system_text, user_text = PAIR_MATCH.render(bindings(left=left))
+    return (system_text + "\n" + user_text).encode()
+
+
 def test_completion_segment_of_an_older_version_is_a_miss_and_heals(
     tmp_path, caplog
 ):
@@ -1096,14 +1127,17 @@ def test_completion_segment_of_an_older_version_is_a_miss_and_heals(
         ENDPOINT, PAIR_MATCH, pair
     )
     (fresh,) = fresh_dir.iterdir()
-    keys = json.loads(fresh.read_bytes().partition(b"\n")[0])["keys"]
-    # what an older version wrote: the sizes of raw records
+    # what the previous version wrote: a JSON header line of hex keys and
+    # zsizes, then records zlib-compressed without a dictionary
+    keys = [cache_key(ENDPOINT, left).hex() for left in "ac"]
     usage = canonical_json({"prompt_tokens": 1, "completion_tokens": 1})
-    records = [f"{usage}\n{GOOD}".encode()] * 2
-    header = canonical_json({"keys": keys, "sizes": [len(r) for r in records]})
+    plain = f"{usage}\n{GOOD}".encode()
+    records = [zlib.compress(plain, 1)] * 2
+    header = canonical_json({"keys": keys, "zsizes": [len(r) for r in records]})
     cache_dir = tmp_path / "old"
     cache_dir.mkdir()
-    segment = cache_dir / fresh.name
+    name = hashlib.sha256("".join(keys).encode("ascii")).hexdigest()
+    segment = cache_dir / f"cmp-{name}.bin"
     segment.write_bytes(header.encode() + b"\n" + b"".join(records))
 
     backend = ScriptedBackend([GOOD] * 2)
@@ -1113,15 +1147,15 @@ def test_completion_segment_of_an_older_version_is_a_miss_and_heals(
         )
     warnings = [r.getMessage() for r in caplog.records]
     assert warnings == [
-        f"judge cache: unreadable entry {segment.name}, treated as a miss"
+        "judge cache: 1 unreadable segment(s) deleted, treated as misses: "
+        f"unreadable entry {segment.name}"
     ]
     assert not any(r.cache_hit for r in healed) and len(backend.calls) == 2
-    assert list(cache_dir.iterdir()) == [segment]
-    assert segment.read_bytes() == fresh.read_bytes()
-    line, _, payload = segment.read_bytes().partition(b"\n")
-    zsizes = json.loads(line)["zsizes"]
-    assert sum(zsizes) == len(payload)
-    assert zlib.decompress(payload[: zsizes[0]]) == records[0]
+    assert list(cache_dir.iterdir()) == [cache_dir / fresh.name]
+    assert (cache_dir / fresh.name).read_bytes() == fresh.read_bytes()
+    (key, record), _ = read_segment(cache_dir / fresh.name)
+    assert key.hex() == keys[0]
+    assert zlib.decompressobj(zdict=prompt_of("a")).decompress(record) == plain
 
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):
@@ -1133,6 +1167,149 @@ def test_completion_segment_of_an_older_version_is_a_miss_and_heals(
     assert [r.parsed for r in again] == [r.parsed for r in healed]
 
 
+def test_record_moved_under_another_key_is_a_torn_miss(tmp_path, caplog):
+    # a whole record with a valid table, but compressed against another
+    # prompt: its dictionary check fails, so it is never served
+    writer = JudgeClient(EchoBackend(delay=0), cache_dir=tmp_path / "w")
+    assert echo(writer, ENDPOINT, "a") == "a"
+    ((_, record),) = read_segment(next((tmp_path / "w").iterdir()))
+    segment = tmp_path / "moved" / "cmp-moved.bin"
+    segment.parent.mkdir()
+    segment.write_bytes(segment_bytes([(cache_key(ENDPOINT, "b"), record)]))
+
+    backend = EchoBackend(delay=0)
+    client = JudgeClient(backend, cache_dir=segment.parent)
+    with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):
+        assert echo(client, ENDPOINT, "b") == "b"
+    assert backend.calls == ["b"]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"judge cache: unreadable entry {segment.name}, treated as a miss"
+    ]
+    assert not segment.exists()
+
+
+def test_reply_that_quotes_its_prompt_is_stored_smaller(tmp_path):
+    left = "the ablation in section 4 leaves out the learned gating layer " * 4
+    client = JudgeClient(EchoBackend(delay=0), cache_dir=tmp_path)
+    response = client.complete(ENDPOINT, PAIR_MATCH, bindings(left=left))
+    assert left in response.raw_text
+    ((_, record),) = read_segment(next(tmp_path.iterdir()))
+    plain = canonical_json(response.usage).encode() + b"\n" + response.raw_text.encode()
+    assert len(record) < len(zlib.compress(plain, 1))
+    assert zlib.decompressobj(zdict=prompt_of(left)).decompress(record) == plain
+
+
+def test_repaired_reply_decodes_on_the_next_hit(tmp_path, caplog):
+    # the repair call's prompt differs, but the record is compressed
+    # against the prompt its key hashes
+    backend = ScriptedBackend(["not json", GOOD])
+    with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):
+        first = JudgeClient(backend, cache_dir=tmp_path).complete(
+            ENDPOINT, PAIR_MATCH, bindings()
+        )
+    assert not first.cache_hit and backend.calls[1] != backend.calls[0]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):
+        again = JudgeClient(backend, cache_dir=tmp_path).complete(
+            ENDPOINT, PAIR_MATCH, bindings()
+        )
+    assert again.cache_hit and again.raw_text == GOOD
+    assert len(backend.calls) == 2 and caplog.records == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.text(), st.text()), st.tuples(st.text(), st.text()))
+@example(("ab", "c"), ("a", "bc"))
+def test_embedding_key_material_is_injective(first, second):
+    material = judge_module._embedding_key_material
+    assert (material(*first) == material(*second)) == (first == second)
+
+
+DAMAGE_TEXTS = ["alpha", "beta", "gamma"]
+
+
+class Warnings(logging.Handler):
+    """Collects the messages of the judge's warnings while installed."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+    def __enter__(self):
+        logging.getLogger("feedbacklab.judge").addHandler(self)
+        return self.messages
+
+    def __exit__(self, *exc):
+        logging.getLogger("feedbacklab.judge").removeHandler(self)
+
+
+def damage_run(kind, cache_dir, count):
+    """A new client's results for the first count texts (embeddings) or
+    lefts (replies, with whether each hit), its backend calls, and the
+    warnings logged."""
+    backend = RecordingStub() if kind == "emb" else EchoBackend(delay=0)
+    client = JudgeClient(backend, cache_dir=cache_dir)
+    texts = DAMAGE_TEXTS[:count]
+    with Warnings() as warnings:
+        if kind == "emb":
+            got = [v.tobytes() for v in client.embed(ENDPOINT, texts)]
+        else:
+            pairs = [bindings(left=t) for t in texts]
+            got = [
+                (r.raw_text, r.cache_hit)
+                for r in client.map_complete(ENDPOINT, PAIR_MATCH, pairs)
+            ]
+    return got, backend.calls, warnings
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["emb", "cmp"]),
+    st.integers(1, 3),
+    st.floats(0, 1, exclude_max=True),
+    st.integers(1, 4),
+)
+@example("emb", 3, 0.0, 1)  # the magic
+@example("cmp", 3, 0.2, 4)  # the entry table
+@example("cmp", 2, 0.99, 4)  # the last record
+def test_same_size_damage_is_a_miss_that_warns_once(kind, count, at, width):
+    with tempfile.TemporaryDirectory() as tmp:
+        cache_dir = Path(tmp)
+        clean, _, _ = damage_run(kind, cache_dir, count)
+        (segment,) = cache_dir.iterdir()
+        whole = segment.read_bytes()
+        start = int(at * len(whole))
+        segment.write_bytes(flip(whole, start, width))
+        # A map reads the records before the first damaged one, and
+        # serves them, before it meets the damage; embed() checks every
+        # row it reads before it serves any.
+        intact = sum(end <= start for _, end in record_spans(whole))
+        served = intact if kind == "cmp" else 0
+
+        got, calls, warnings = damage_run(kind, cache_dir, count)
+        assert len(warnings) == 1 and segment.name in warnings[0]
+        if kind == "emb":
+            assert got == clean and calls == [DAMAGE_TEXTS[:count]]
+        else:  # never a wrong reply; the damaged record and those after miss
+            assert [raw for raw, _ in got] == [raw for raw, _ in clean]
+            assert [hit for _, hit in got] == [i < served for i in range(count)]
+            assert calls == DAMAGE_TEXTS[served:count]
+        if served == 0:
+            # every record missed, so the rewrite is the clean segment
+            assert list(cache_dir.iterdir()) == [segment]
+            assert segment.read_bytes() == whole
+        else:
+            assert not segment.exists()
+            # the records served from the deleted file are fetched once more
+            _, calls, warnings = damage_run(kind, cache_dir, count)
+            assert calls == DAMAGE_TEXTS[:served] and warnings == []
+        _, calls, warnings = damage_run(kind, cache_dir, count)
+        assert calls == [] and warnings == []
+
+
 def test_damaged_records_under_thread_contention(tmp_path, caplog):
     lefts = [f"flat {i}" for i in range(64)]
     writer = JudgeClient(EchoBackend(delay=0), cache_dir=tmp_path)
@@ -1142,7 +1319,7 @@ def test_damaged_records_under_thread_contention(tmp_path, caplog):
     for segment in segments:
         whole = segment.read_bytes()
         # inside the records, halfway
-        records_at = whole.index(b"\n") + 1
+        records_at = table_size(whole)
         segment.write_bytes(flip(whole, (records_at + len(whole)) // 2))
 
     client = JudgeClient(EchoBackend(delay=0), cache_dir=tmp_path)
@@ -1383,9 +1560,9 @@ def test_per_call_json_entries_are_dead_files(tmp_path, caplog):
     lefts = ["a", "b"]
     raw = canonical_json({"match": "0", "explanation": "old"})
     entry = canonical_json({"parsed": json.loads(raw), "raw_text": raw, "usage": {}})
-    whole = tmp_path / f"{cache_key(ENDPOINT, 'a')}.json"
+    whole = tmp_path / f"{cache_key(ENDPOINT, 'a').hex()}.json"
     whole.write_text(entry, encoding="utf-8")
-    torn = tmp_path / f"{cache_key(ENDPOINT, 'b')}.json"
+    torn = tmp_path / f"{cache_key(ENDPOINT, 'b').hex()}.json"
     torn.write_text(entry[:20], encoding="utf-8")
     before = {p.name: p.read_bytes() for p in (whole, torn)}
 
