@@ -129,9 +129,6 @@ def load_model_units(
     "model"; doubles as the unit's reviewer_id). Unit ids derive from
     content, so the file carries none.
     """
-    if not path.exists():
-        raise IngestError(f"model feedback file not found: {path}")
-
     def parse_unit(data: Mapping[str, Any]) -> FeedbackUnit:
         paper_id, text = data["paper_id"], data["text"]
         model_name = data.get("model_name", "model")

@@ -15,7 +15,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .config import Sampling, Thresholds
-from .core import FeedbackUnit, connected_components
+from .core import FeedbackUnit, Record, connected_components
 from .errors import ConfigError, PipelineError
 from .judge import EndpointConfig, JudgeClient, similar_pairs
 from .prompts import PAIR_MATCH
@@ -30,7 +30,7 @@ HUMAN_MODEL = "human_model"
 
 
 @dataclass(frozen=True)
-class MatchEdge:
+class MatchEdge(Record):
     """A candidate or judged pair of feedback units."""
 
     left_unit_id: str
@@ -47,30 +47,6 @@ class MatchEdge:
             raise PipelineError(f"cosine {self.cosine} outside [-1,1]")
         if self.left_unit_id == self.right_unit_id:
             raise PipelineError("match edge endpoints must differ")
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "left_unit_id": self.left_unit_id,
-            "right_unit_id": self.right_unit_id,
-            "pair_type": self.pair_type,
-            "cosine": self.cosine,
-        }
-        if self.judged is not None:
-            out["judged"] = self.judged
-        if self.explanation is not None:
-            out["explanation"] = self.explanation
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MatchEdge":
-        return cls(
-            left_unit_id=data["left_unit_id"],
-            right_unit_id=data["right_unit_id"],
-            pair_type=data["pair_type"],
-            cosine=data["cosine"],
-            judged=data.get("judged"),
-            explanation=data.get("explanation"),
-        )
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,38 @@
 """Domain model: feedback units, review threads, and the success rule.
 
 Everything downstream (forging, consensus scoring, proxy evaluation)
-consumes these types, so serialization here is canonical: stable key
-order, compact separators, enums as lowercase strings, sets as sorted
-lists, absent optionals omitted.  Re-serializing a loaded object must
-reproduce the original bytes.
+consumes these types, so serialization here is canonical: files are
+written with canonical_json (sorted keys, compact separators), and every
+stored record inherits Record, whose to_dict and from_dict follow one set
+of rules (enums as lowercase strings, sets as sorted lists, absent
+optionals omitted). Re-serializing a loaded object must reproduce the
+original bytes.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+import operator
+import typing
+from collections import abc
+from dataclasses import MISSING, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Mapping
+from types import UnionType
+from typing import (
+    IO,
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    TypeVar,
+    Union,
+)
 
 
 class Validity(str, Enum):
@@ -165,17 +182,114 @@ def connected_components(
     return list(groups.values())
 
 
-def _enum_or_none(cls: type, value: Any) -> Any:
-    if value is None:
-        return None
-    try:
-        return cls(value)
-    except ValueError:
-        raise ValueError(f"unknown {cls.__name__} value: {value!r}") from None
+class Record:
+    """Mixin for the frozen dataclasses that are stored as JSON records.
+
+    to_dict and from_dict are derived from the dataclass fields and their
+    type hints, so every record follows one set of rules. A field that
+    has a default is left out when its value is None or an empty set or
+    mapping; every other field is always written. Enums are written as
+    their values, frozensets as sorted lists, tuples as lists, mappings as
+    objects and nested records through their own to_dict. Reading inverts
+    this: a field without a default must be present (else KeyError), an
+    absent field takes its default, `X | None` lets only None through,
+    enums are built by calling their class, and unknown keys are ignored.
+    Each class's plan is built on first use.
+    """
+
+    __slots__ = ()
+
+    def to_dict(self) -> dict[str, Any]:
+        out: dict[str, Any] = {}
+        for name, encode, omit in _plan(type(self))[0]:
+            value = getattr(self, name)
+            if omit and (value is None if omit == _OMIT_NONE else not value):
+                continue
+            out[name] = value if encode is None else encode(value)
+        return out
+
+    @classmethod
+    def from_dict(cls: type[R], data: Mapping[str, Any]) -> R:
+        kwargs: dict[str, Any] = {}
+        for name, decode, required in _plan(cls)[1]:
+            if not required and name not in data:
+                continue
+            value = data[name]
+            kwargs[name] = value if decode is None else decode(value)
+        return cls(**kwargs)
+
+
+R = TypeVar("R", bound=Record)
+Codec = Callable[[Any], Any] | None  # None passes a value through
+_KEEP, _OMIT_NONE, _OMIT_EMPTY = 0, 1, 2  # when to_dict leaves a field out
+
+
+@functools.cache
+def _plan(cls: type) -> tuple[tuple, tuple]:
+    """Per-field rows: (name, encode, omit) for to_dict, and
+    (name, decode, required) for from_dict."""
+    hints = typing.get_type_hints(cls)
+    encoders, decoders = [], []
+    for f in dataclasses.fields(cls):
+        tp = hints[f.name]
+        encode, decode = _codec(tp)
+        required = f.default is MISSING and f.default_factory is MISSING
+        origin = typing.get_origin(tp)
+        omit = _KEEP
+        if not required and origin in (Union, UnionType):
+            omit = _OMIT_NONE
+        elif not required and origin in (frozenset, abc.Mapping):
+            omit = _OMIT_EMPTY
+        encoders.append((f.name, encode, omit))
+        decoders.append((f.name, decode, required))
+    return tuple(encoders), tuple(decoders)
+
+
+def _or_none(fn: Codec) -> Codec:
+    return fn and (lambda v: None if v is None else fn(v))
+
+
+def _codec(tp: Any) -> tuple[Codec, Codec]:
+    """(encode, decode) for values of the type hint tp."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (Union, UnionType):
+        (inner,) = (a for a in args if a is not type(None))
+        encode, decode = _codec(inner)
+        return _or_none(encode), _or_none(decode)
+    if origin is None:
+        if isinstance(tp, type) and issubclass(tp, Enum):
+            return operator.attrgetter("value"), tp
+        if isinstance(tp, type) and issubclass(tp, Record):
+            return Record.to_dict, tp.from_dict
+        return None, None
+    if origin is frozenset:
+        encode, decode = _codec(args[0])
+        return (
+            (lambda v: sorted(map(encode, v))) if encode else sorted,
+            (lambda v: frozenset(map(decode, v))) if decode else frozenset,
+        )
+    if origin is tuple and args[1:] == (...,):
+        encode, decode = _codec(args[0])
+        return (
+            (lambda v: list(map(encode, v))) if encode else list,
+            (lambda v: tuple(map(decode, v))) if decode else tuple,
+        )
+    if origin is abc.Mapping:
+        encode, decode = _codec(args[1])
+        encode, decode = encode or _same, decode or _same
+        return (
+            lambda v: {k: encode(x) for k, x in v.items()},
+            lambda v: {k: decode(x) for k, x in v.items()},
+        )
+    raise TypeError(f"no record codec for {tp!r}")
+
+
+def _same(value: Any) -> Any:
+    return value
 
 
 @dataclass(frozen=True)
-class FeedbackUnit:
+class FeedbackUnit(Record):
     """One self-contained critique with its resolution labels.
 
     Labels are optional because model-generated units arrive unlabeled;
@@ -214,49 +328,9 @@ class FeedbackUnit:
             return False
         return success_indicator(self.validity, self.action)
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "id": self.id,
-            "paper_id": self.paper_id,
-            "reviewer_id": self.reviewer_id,
-            "source": self.source.value,
-            "text": self.text,
-        }
-        if self.author_response_text is not None:
-            out["author_response_text"] = self.author_response_text
-        if self.validity is not None:
-            out["validity"] = self.validity.value
-        if self.action is not None:
-            out["action"] = self.action.value
-        if self.aspects:
-            out["aspects"] = sorted(a.value for a in self.aspects)
-        if self.dimensions:
-            out["dimensions"] = sorted(d.value for d in self.dimensions)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FeedbackUnit":
-        return cls(
-            id=data["id"],
-            paper_id=data["paper_id"],
-            reviewer_id=data["reviewer_id"],
-            source=Source(data["source"]),
-            text=data["text"],
-            author_response_text=data.get("author_response_text"),
-            validity=_enum_or_none(Validity, data.get("validity")),
-            action=_enum_or_none(AuthorAction, data.get("action")),
-            aspects=frozenset(
-                _enum_or_none(AspectTag, a) for a in data.get("aspects", [])
-            ),
-            dimensions=frozenset(
-                _enum_or_none(FeedbackDimension, d)
-                for d in data.get("dimensions", [])
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class Turn:
+class Turn(Record):
     speaker: Speaker
     text: str
     timestamp: str | None = None
@@ -265,23 +339,9 @@ class Turn:
         if not self.text:
             raise ValueError("turn text must be nonempty")
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"speaker": self.speaker.value, "text": self.text}
-        if self.timestamp is not None:
-            out["timestamp"] = self.timestamp
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Turn":
-        return cls(
-            speaker=Speaker(data["speaker"]),
-            text=data["text"],
-            timestamp=data.get("timestamp"),
-        )
-
 
 @dataclass(frozen=True)
-class ReviewThread:
+class ReviewThread(Record):
     """One reviewer's discussion with the authors, in turn order."""
 
     reviewer_id: str
@@ -294,22 +354,9 @@ class ReviewThread:
         if not self.turns:
             raise ValueError(f"thread {self.reviewer_id}: needs at least one turn")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "reviewer_id": self.reviewer_id,
-            "turns": [t.to_dict() for t in self.turns],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ReviewThread":
-        return cls(
-            reviewer_id=data["reviewer_id"],
-            turns=tuple(Turn.from_dict(t) for t in data["turns"]),
-        )
-
 
 @dataclass(frozen=True)
-class PaperRecord:
+class PaperRecord(Record):
     """A submission with its review threads and extracted human units."""
 
     paper_id: str
@@ -324,6 +371,7 @@ class PaperRecord:
     def __post_init__(self) -> None:
         if not self.paper_id:
             raise ValueError("paper_id must be nonempty")
+        object.__setattr__(self, "venue_year", int(self.venue_year))
         object.__setattr__(self, "threads", tuple(self.threads))
         object.__setattr__(self, "units", tuple(self.units))
         reviewer_ids = {t.reviewer_id for t in self.threads}
@@ -357,30 +405,3 @@ class PaperRecord:
 
     def successful_units(self) -> list[FeedbackUnit]:
         return [u for u in self.units if u.is_successful]
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "paper_id": self.paper_id,
-            "title": self.title,
-            "abstract": self.abstract,
-            "venue_year": self.venue_year,
-            "decision": self.decision.value,
-            "threads": [t.to_dict() for t in self.threads],
-            "units": [u.to_dict() for u in self.units],
-        }
-        if self.body_markdown is not None:
-            out["body_markdown"] = self.body_markdown
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PaperRecord":
-        return cls(
-            paper_id=data["paper_id"],
-            title=data["title"],
-            abstract=data["abstract"],
-            venue_year=int(data["venue_year"]),
-            decision=Decision(data.get("decision", "unknown")),
-            threads=tuple(ReviewThread.from_dict(t) for t in data["threads"]),
-            units=tuple(FeedbackUnit.from_dict(u) for u in data["units"]),
-            body_markdown=data.get("body_markdown"),
-        )

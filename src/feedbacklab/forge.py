@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import Sampling, Thresholds
 from .core import FeedbackUnit, PaperRecord, canonical_json, connected_components
-from .core import atomic_write
+from .core import Record, atomic_write
 from .errors import JudgeFormatError, PipelineError
 from .ingest import DatasetStore
 from .judge import EndpointConfig, JudgeClient, similar_pairs
@@ -64,7 +64,7 @@ DPO_HYPERPARAMETERS: dict[str, Any] = {
 
 
 @dataclass(frozen=True)
-class VariantVerification:
+class VariantVerification(Record):
     predicted_dimension: str
     target_degradation: int
     collateral_preservation: int
@@ -81,7 +81,7 @@ class VariantVerification:
 
 
 @dataclass(frozen=True)
-class CorruptionVariant:
+class CorruptionVariant(Record):
     source_unit_id: str
     dimension: str
     text: str
@@ -102,32 +102,6 @@ class CorruptionVariant:
             and v.predicted_dimension == self.dimension
             and v.target_degradation >= 2
             and v.collateral_preservation >= 2
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "source_unit_id": self.source_unit_id,
-            "dimension": self.dimension,
-            "text": self.text,
-        }
-        if self.verification is not None:
-            out["verification"] = {
-                "predicted_dimension": self.verification.predicted_dimension,
-                "target_degradation": self.verification.target_degradation,
-                "collateral_preservation": self.verification.collateral_preservation,
-            }
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CorruptionVariant":
-        verification = data.get("verification")
-        return cls(
-            source_unit_id=data["source_unit_id"],
-            dimension=data["dimension"],
-            text=data["text"],
-            verification=VariantVerification(**verification)
-            if verification
-            else None,
         )
 
 
@@ -163,21 +137,12 @@ def corrupt(
 
 
 @dataclass(frozen=True)
-class FilterStats:
+class FilterStats(Record):
     """Verification outcome for one unit's batch of variants."""
 
     source_unit_id: str
     judged_order: tuple[str, ...]
     per_dimension: Mapping[str, Mapping[str, Any]]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "source_unit_id": self.source_unit_id,
-            "judged_order": list(self.judged_order),
-            "per_dimension": {
-                k: dict(v) for k, v in sorted(self.per_dimension.items())
-            },
-        }
 
 
 def verify_and_filter(
@@ -350,7 +315,7 @@ class PreferencePair:
 
 
 @dataclass(frozen=True)
-class TrainingManifest:
+class TrainingManifest(Record):
     kind: str
     dataset_path: str
     record_count: int
@@ -361,15 +326,6 @@ class TrainingManifest:
         if self.kind not in ("sft", "dpo"):
             raise PipelineError(f"unknown manifest kind {self.kind!r}")
         object.__setattr__(self, "hyperparameters", dict(self.hyperparameters))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "dataset_path": self.dataset_path,
-            "record_count": self.record_count,
-            "hyperparameters": dict(self.hyperparameters),
-            "prompt_version": self.prompt_version,
-        }
 
     def write(self, path: str | Path) -> None:
         with atomic_write(Path(path)) as fh:

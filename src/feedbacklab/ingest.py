@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .core import AuthorAction, PaperRecord, Validity, canonical_json
-from .core import atomic_write
+from .core import Record, atomic_write
 from .errors import IngestError, PipelineError
 
 FORMAT_VERSION = 1
@@ -82,11 +82,15 @@ def read_jsonl(
 ) -> Iterator[tuple[int, T]]:
     """(line number, parse(object)) for each nonblank line of a JSONL file.
 
-    A line that is not JSON, or whose value parse cannot read (a missing
-    key, a wrong type, a bad value, or a PipelineError from the record's
-    own checks), raises IngestError naming path:line.
+    A missing file, a line that is not JSON, or a value parse cannot read
+    (a missing key, a wrong type, a bad value, or a PipelineError from the
+    record's own checks) raises IngestError naming the path (and line).
     """
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except FileNotFoundError:
+        raise IngestError(f"{what} file not found: {path}") from None
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -108,44 +112,24 @@ def read_jsonl(
 def load_corpus(root: str | Path) -> DatasetStore:
     """Load and validate a dataset store from its root directory."""
     root = Path(root)
-    data = _read_manifest(root)
-    manifest: dict[str, tuple[str, ...]] = {}
-    claimed: dict[str, str] = {}
-    for split, ids in data["splits"].items():
-        for pid in ids:
-            if pid in claimed:
-                raise IngestError(
-                    f"paper_id {pid!r} appears in splits "
-                    f"{claimed[pid]!r} and {split!r}; splits must be disjoint"
-                )
-            claimed[pid] = split
-        manifest[split] = tuple(ids)
-
+    splits = _read_manifest(root)["splits"]
     records: dict[str, PaperRecord] = {}
-    for split, ids in manifest.items():
+    for split, ids in splits.items():
         path = root / "records" / f"{split}.jsonl"
-        if not path.exists():
-            raise IngestError(f"missing record file: {path}")
-        found: dict[str, PaperRecord] = {}
+        found: set[str] = set()
         for lineno, record in read_jsonl(path, PaperRecord.from_dict, "record"):
-            if record.paper_id in found or record.paper_id in records:
+            if record.paper_id in records:
                 raise IngestError(
                     f"{path}:{lineno}: duplicate paper_id {record.paper_id!r}"
                 )
-            found[record.paper_id] = record
-        missing = set(ids) - set(found)
-        if missing:
-            raise IngestError(
-                f"{path}: manifest ids missing from records: {sorted(missing)}"
-            )
-        extra = set(found) - set(ids)
+            records[record.paper_id] = record
+            found.add(record.paper_id)
+        extra = found - set(ids)
         if extra:
             raise IngestError(
                 f"{path}: records not listed in manifest: {sorted(extra)}"
             )
-        records.update(found)
-
-    return DatasetStore(manifest=manifest, records=records)
+    return make_store(list(records.values()), splits)
 
 
 def save_corpus(store: DatasetStore, root: str | Path) -> None:
@@ -169,7 +153,8 @@ def make_store(
     records: Sequence[PaperRecord],
     splits: Mapping[str, Sequence[str]],
 ) -> DatasetStore:
-    """Assemble an in-memory store, applying the same validation as load."""
+    """Assemble an in-memory store: ids unique, every split id has a
+    record, and the splits are disjoint. load_corpus validates through it."""
     by_id: dict[str, PaperRecord] = {}
     for record in records:
         if record.paper_id in by_id:
@@ -184,7 +169,7 @@ def make_store(
             if pid in claimed:
                 raise IngestError(
                     f"paper_id {pid!r} appears in splits "
-                    f"{claimed[pid]!r} and {split!r}"
+                    f"{claimed[pid]!r} and {split!r}; splits must be disjoint"
                 )
             claimed[pid] = split
         manifest[split] = tuple(ids)
@@ -192,7 +177,7 @@ def make_store(
 
 
 @dataclass(frozen=True)
-class AnnotationRecord:
+class AnnotationRecord(Record):
     """One annotator's labels for a unit or a unit pair."""
 
     unit_id: str
@@ -222,34 +207,6 @@ class AnnotationRecord:
                     "outside 1..5"
                 )
         object.__setattr__(self, "likert", dict(self.likert))
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AnnotationRecord":
-        validity = data.get("validity")
-        action = data.get("action")
-        return cls(
-            unit_id=data["unit_id"],
-            annotator_id=data["annotator_id"],
-            validity=Validity(validity) if validity is not None else None,
-            action=AuthorAction(action) if action is not None else None,
-            match_label=data.get("match_label"),
-            likert=data.get("likert", {}),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "unit_id": self.unit_id,
-            "annotator_id": self.annotator_id,
-        }
-        if self.validity is not None:
-            out["validity"] = self.validity.value
-        if self.action is not None:
-            out["action"] = self.action.value
-        if self.match_label is not None:
-            out["match_label"] = self.match_label
-        if self.likert:
-            out["likert"] = dict(sorted(self.likert.items()))
-        return out
 
 
 def load_annotations(path: str | Path) -> list[AnnotationRecord]:

@@ -15,7 +15,14 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .config import FILTER_DIMENSIONS, QualityThresholds, Sampling
-from .core import AuthorAction, FeedbackUnit, PaperRecord, Validity, is_actionable
+from .core import (
+    AuthorAction,
+    FeedbackUnit,
+    PaperRecord,
+    Record,
+    Validity,
+    is_actionable,
+)
 from .errors import PipelineError
 from .judge import EndpointConfig, JudgeClient
 from .prompts import QUALITY_DIMENSIONS, QUALITY_SCORE, RESPONSE_PREDICT
@@ -117,7 +124,7 @@ def predict_response(
 
 
 @dataclass(frozen=True)
-class UnitEvaluation:
+class UnitEvaluation(Record):
     """Everything success_rate needs to know about one unit."""
 
     unit_id: str
@@ -138,25 +145,6 @@ class UnitEvaluation:
         if mode is SuccessMode.VALIDITY_ONLY:
             return validity_ok
         return action_ok
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "unit_id": self.unit_id,
-            "paper_id": self.paper_id,
-            "passes_quality": self.passes_quality,
-            "predicted_validity": self.predicted_validity.value,
-            "predicted_action": self.predicted_action.value,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "UnitEvaluation":
-        return cls(
-            unit_id=data["unit_id"],
-            paper_id=data["paper_id"],
-            passes_quality=data["passes_quality"],
-            predicted_validity=Validity(data["predicted_validity"]),
-            predicted_action=AuthorAction(data["predicted_action"]),
-        )
 
 
 def evaluate_unit(

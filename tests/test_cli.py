@@ -1219,6 +1219,60 @@ def test_record_checks_name_file_and_line(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, missing",
+    [
+        ("calibrate", "pairs.jsonl"),
+        ("calibrate", "annotations.jsonl"),
+        ("success-eval", "model.jsonl"),
+        ("ingest", "test.jsonl"),
+    ],
+)
+def test_missing_input_file_is_one_error_line(tmp_path, capsys, command, missing):
+    calibrate_setup(tmp_path)
+    write_corpus(tmp_path / "corpus", [synth_paper("p1", [])])
+    (tmp_path / "model.jsonl").write_text(
+        canonical_json({"paper_id": "p1", "text": "a point"}) + "\n"
+    )
+    cfg = write_config(
+        tmp_path / "config.json",
+        paths={
+            "corpus_root": "corpus",
+            "model_feedback": "model.jsonl",
+            "annotated_pairs": "pairs.jsonl",
+            "annotations": "annotations.jsonl",
+            "runs_root": "runs",
+        },
+    )
+    [path] = tmp_path.rglob(missing)
+    path.unlink()
+    assert main([command, "--config", cfg]) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and line.endswith(f"file not found: {path}")
+
+
+@pytest.mark.parametrize("tags", ["aspects", "dimensions"])
+def test_null_tag_fails_the_load_before_any_judge_call(
+    tmp_path, capsys, monkeypatch, tags
+):
+    cfg = parse_setup(tmp_path, [synth_paper("p1", [], threads=("R1", "R2"))])
+    record_file = tmp_path / "corpus" / "records" / "test.jsonl"
+    record = json.loads(record_file.read_text())
+    unit = labeled_unit("p1", "R1", "point one").to_dict()
+    record["units"] = [{**unit, tags: [None]}]
+    record_file.write_text(canonical_json(record) + "\n")
+
+    def no_call(self, *args):
+        raise AssertionError("judge called before the corpus loaded")
+
+    monkeypatch.setattr(StubBackend, "complete", no_call)
+    for command in ("ingest", "parse"):
+        assert main([command, "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"records/test\.jsonl:1: malformed record", err)
+        assert "Traceback" not in err
+
+
 def test_set_overrides_and_hash_sensitivity(tmp_path):
     papers = [synth_paper("p1", [labeled_unit("p1", "R1", "a point")])]
     write_corpus(tmp_path / "corpus", papers)
