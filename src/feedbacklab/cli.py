@@ -20,7 +20,7 @@ import sys
 import traceback
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from .config import PipelineConfig, config_hash, load_config
 from .core import FeedbackUnit, PaperRecord, Source, canonical_json, make_unit_id
@@ -38,6 +38,9 @@ from .ingest import (
 from .judge import HttpBackend, JudgeClient, StubBackend
 from .prompts import prompt_versions
 from .report import EvalReport, ReportTable, render_report
+
+if TYPE_CHECKING:
+    from .forge import TrainingManifest
 
 RUN_ID_CHARS = 16
 
@@ -187,6 +190,7 @@ def cmd_ingest(ctx: RunContext) -> EvalReport:
         tables={
             "corpus": ReportTable(columns=("key", "value"), rows=tuple(rows))
         },
+        details={},
     )
 
 
@@ -195,6 +199,8 @@ def cmd_parse(ctx: RunContext) -> EvalReport:
 
     store = _load_store(ctx)
     config = ctx.config
+    annotations_path = config.resolved_paths()["annotations"]
+    annotations = load_annotations(annotations_path) if annotations_path else None
     client = ctx.client()
     records = store.papers(config.split)
     parsed, results = parse.parse_papers(
@@ -225,9 +231,7 @@ def cmd_parse(ctx: RunContext) -> EvalReport:
             ),
         )
     }
-    annotations_path = config.resolved_paths()["annotations"]
-    if annotations_path:
-        annotations = load_annotations(annotations_path)
+    if annotations is not None:
         reference = [u for record in parsed for u in record.units]
         agreement = parse.agreement_report(annotations, reference)
         rows = []
@@ -253,7 +257,28 @@ def cmd_parse(ctx: RunContext) -> EvalReport:
             columns=("label", "scope", "agreement", "pabak", "kappa", "n"),
             rows=tuple(rows),
         )
-    return EvalReport(metadata=ctx.base_metadata(), tables=tables)
+    return EvalReport(metadata=ctx.base_metadata(), tables=tables, details={})
+
+
+def _manifest_report(
+    ctx: RunContext, manifest: TrainingManifest, **tables: ReportTable
+) -> EvalReport:
+    """A forge command's report: its manifest as a table and in details."""
+    return EvalReport(
+        metadata=ctx.base_metadata(),
+        tables={
+            "manifest": ReportTable(
+                columns=("key", "value"),
+                rows=(
+                    ("kind", manifest.kind),
+                    ("records", manifest.record_count),
+                    ("prompt_version", manifest.prompt_version),
+                ),
+            ),
+            **tables,
+        },
+        details={"manifest": manifest.to_dict()},
+    )
 
 
 def cmd_forge_sft(ctx: RunContext) -> EvalReport:
@@ -265,20 +290,7 @@ def cmd_forge_sft(ctx: RunContext) -> EvalReport:
     )
     manifest.write(ctx.artifacts / "sft_manifest.json")
     ctx.log("forge_sft", records=manifest.record_count)
-    return EvalReport(
-        metadata=ctx.base_metadata(),
-        tables={
-            "manifest": ReportTable(
-                columns=("key", "value"),
-                rows=(
-                    ("kind", manifest.kind),
-                    ("records", manifest.record_count),
-                    ("prompt_version", manifest.prompt_version),
-                ),
-            )
-        },
-        details={"manifest": manifest.to_dict()},
-    )
+    return _manifest_report(ctx, manifest)
 
 
 def cmd_forge_dpo(ctx: RunContext) -> EvalReport:
@@ -324,41 +336,20 @@ def cmd_forge_dpo(ctx: RunContext) -> EvalReport:
     )
     ctx.log("forge_dpo", records=manifest.record_count)
     aggregate = forge.aggregate_filter_stats(filter_stats)
-    filter_rows = tuple(
-        (
-            dim,
-            row["n"],
-            row["prediction_accuracy"],
-            row["mean_target_degradation"],
-            row["mean_collateral_preservation"],
-            row["keep_rate"],
-        )
-        for dim, row in sorted(aggregate.items())
-    )
-    return EvalReport(
-        metadata=ctx.base_metadata(),
-        tables={
-            "manifest": ReportTable(
-                columns=("key", "value"),
-                rows=(
-                    ("kind", manifest.kind),
-                    ("records", manifest.record_count),
-                    ("prompt_version", manifest.prompt_version),
-                ),
+    return _manifest_report(
+        ctx,
+        manifest,
+        corruption_filter=ReportTable.by_key(
+            (
+                "dimension",
+                "n",
+                "prediction_accuracy",
+                "mean_target_degradation",
+                "mean_collateral_preservation",
+                "keep_rate",
             ),
-            "corruption_filter": ReportTable(
-                columns=(
-                    "dimension",
-                    "n",
-                    "prediction_accuracy",
-                    "mean_target_degradation",
-                    "mean_collateral_preservation",
-                    "keep_rate",
-                ),
-                rows=filter_rows,
-            ),
-        },
-        details={"manifest": manifest.to_dict()},
+            ({"dimension": dim, **row} for dim, row in sorted(aggregate.items())),
+        ),
     )
 
 
@@ -418,6 +409,7 @@ def cmd_calibrate(ctx: RunContext) -> EvalReport:
                 rows=tuple(rate_rows),
             ),
         },
+        details={},
     )
 
 
@@ -426,11 +418,11 @@ def cmd_consensus_eval(ctx: RunContext) -> EvalReport:
 
     store = _load_store(ctx)
     config = ctx.config
-    client = ctx.client()
     papers = store.papers(config.split)
     model_by_paper = load_model_units(
         config.path("model_feedback"), store.records
     )
+    client = ctx.client()
     match_endpoint = config.endpoint("pair_match")
     embedding_endpoint = config.endpoint("embedding")
 
@@ -579,22 +571,15 @@ def cmd_consensus_eval(ctx: RunContext) -> EvalReport:
             "cluster_level": config.flags.cluster_level,
         }
     )
-    metric_rows = tuple(
-        (
-            name,
-            aggregate[name]["mean"],
-            aggregate[name]["ci_lower"],
-            aggregate[name]["ci_upper"],
-            aggregate[name]["ci_half_width"],
-        )
-        for name in ("precision", "recall", "f1")
-    )
     return EvalReport(
         metadata=metadata,
         tables={
-            "match_metrics": ReportTable(
-                columns=("metric", "mean", "ci_lower", "ci_upper", "ci_half_width"),
-                rows=metric_rows,
+            "match_metrics": ReportTable.by_key(
+                ("metric", "mean", "ci_lower", "ci_upper", "ci_half_width"),
+                (
+                    {"metric": name, **aggregate[name]}
+                    for name in ("precision", "recall", "f1")
+                ),
             ),
             "per_paper": ReportTable(
                 columns=(
@@ -622,11 +607,11 @@ def cmd_success_eval(ctx: RunContext) -> EvalReport:
 
     store = _load_store(ctx)
     config = ctx.config
-    client = ctx.client()
     papers = store.papers(config.split)
     model_by_paper = load_model_units(
         config.path("model_feedback"), store.records
     )
+    client = ctx.client()
     quality_endpoint = config.endpoint("quality_score")
     predictor_endpoint = config.endpoint("response_predict")
     for paper in papers:
@@ -709,6 +694,7 @@ def cmd_success_eval(ctx: RunContext) -> EvalReport:
                 rows=tuple(rows),
             )
         },
+        details={},
     )
 
 

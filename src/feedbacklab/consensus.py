@@ -84,40 +84,28 @@ class StratumRow:
 
 @dataclass(frozen=True)
 class StratumTable:
-    """Cosine strata: cut points plus per-stratum data rows."""
+    """Per-stratum data rows over the DEFAULT_BOUNDARIES cut points."""
 
-    boundaries: tuple[float, ...] = DEFAULT_BOUNDARIES
     rows: tuple[StratumRow, ...] = ()
 
     def __post_init__(self) -> None:
-        bounds = tuple(float(b) for b in self.boundaries)
-        if list(bounds) != sorted(set(bounds)):
-            raise ConfigError("stratum boundaries must be strictly increasing")
-        if bounds and (bounds[0] <= -1.0 or bounds[-1] >= 1.0):
-            raise ConfigError("stratum boundaries must lie inside (-1, 1)")
-        object.__setattr__(self, "boundaries", bounds)
         if self.rows:
-            expected = stratum_bounds(bounds)
             got = [(r.lower, r.upper) for r in self.rows]
-            if got != expected:
+            if got != stratum_bounds():
                 raise ConfigError(
                     f"stratum rows {got} do not partition [-1,1] per "
-                    f"boundaries {bounds}"
+                    f"boundaries {DEFAULT_BOUNDARIES}"
                 )
         object.__setattr__(self, "rows", tuple(self.rows))
 
 
-def stratum_bounds(
-    boundaries: Sequence[float] = DEFAULT_BOUNDARIES,
-) -> list[tuple[float, float]]:
+def stratum_bounds() -> list[tuple[float, float]]:
     """The (lower, upper) ranges the cut points induce over [-1, 1]."""
-    edges = [-1.0, *boundaries, 1.0]
+    edges = [-1.0, *DEFAULT_BOUNDARIES, 1.0]
     return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
 
 
-def stratum_index(
-    value: float, boundaries: Sequence[float] = DEFAULT_BOUNDARIES
-) -> int:
+def stratum_index(value: float) -> int:
     """Index of the stratum containing a cosine value.
 
     Strata are half-open [lower, upper) except the last, which includes
@@ -125,15 +113,12 @@ def stratum_index(
     """
     if not -1.0 <= value <= 1.0:
         raise PipelineError(f"cosine {value} outside [-1,1]")
-    return bisect_right(list(boundaries), value)
+    return bisect_right(DEFAULT_BOUNDARIES, value)
 
 
-def build_stratum_table(
-    annotated: Sequence[MatchEdge],
-    boundaries: Sequence[float] = DEFAULT_BOUNDARIES,
-) -> StratumTable:
+def build_stratum_table(annotated: Sequence[MatchEdge]) -> StratumTable:
     """Annotated match rate per stratum from human-labeled edges."""
-    bounds = stratum_bounds(boundaries)
+    bounds = stratum_bounds()
     totals = [0] * len(bounds)
     matches = [0] * len(bounds)
     for edge in annotated:
@@ -142,7 +127,7 @@ def build_stratum_table(
                 f"build_stratum_table: edge {edge.left_unit_id}-"
                 f"{edge.right_unit_id} lacks a label"
             )
-        idx = stratum_index(edge.cosine, boundaries)
+        idx = stratum_index(edge.cosine)
         totals[idx] += 1
         matches[idx] += int(edge.judged)
     rows = [
@@ -153,7 +138,7 @@ def build_stratum_table(
         )
         for i, (lo, hi) in enumerate(bounds)
     ]
-    return StratumTable(boundaries=tuple(boundaries), rows=tuple(rows))
+    return StratumTable(rows=tuple(rows))
 
 
 def calibrate_threshold(

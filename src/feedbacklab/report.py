@@ -1,8 +1,10 @@
 """Bit-stable report structures and renderers.
 
-Reports carry prebuilt tables; rendering applies one fixed formatting
-rule per cell type, so the same report always produces the same bytes
-in every format.
+A report is a Record: metadata, named tables and a free-form detail
+section. Each table formats its cells once, when it is built, by one
+fixed rule per cell type, so a report built by a command and the same
+report read back from eval_report.json hold the same strings, and every
+format renders the same bytes from them.
 """
 
 from __future__ import annotations
@@ -10,9 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass
+from typing import Any, Iterable, Mapping, Sequence
 
+from .core import Record
 from .errors import PipelineError
 
 METRIC_DECIMALS = 3
@@ -35,15 +38,15 @@ def _format_cell(value: Any) -> str:
 
 
 @dataclass(frozen=True)
-class ReportTable:
+class ReportTable(Record):
     columns: tuple[str, ...]
-    rows: tuple[tuple[Any, ...], ...] = ()
+    rows: tuple[tuple[str, ...], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.columns:
             raise PipelineError("report table needs columns")
         object.__setattr__(self, "columns", tuple(self.columns))
-        rows = tuple(tuple(r) for r in self.rows)
+        rows = tuple(tuple(map(_format_cell, r)) for r in self.rows)
         for row in rows:
             if len(row) != len(self.columns):
                 raise PipelineError(
@@ -51,53 +54,29 @@ class ReportTable:
                 )
         object.__setattr__(self, "rows", rows)
 
-    def formatted_rows(self) -> list[list[str]]:
-        return [[_format_cell(v) for v in row] for row in self.rows]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "columns": list(self.columns),
-            "rows": self.formatted_rows(),
-        }
-
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ReportTable":
+    def by_key(
+        cls, columns: Sequence[str], rows: Iterable[Mapping[str, Any]]
+    ) -> "ReportTable":
+        """A table of these columns, one row per mapping keyed by them."""
         return cls(
-            columns=tuple(data["columns"]),
-            rows=tuple(tuple(r) for r in data["rows"]),
+            columns=tuple(columns),
+            rows=tuple(tuple(row[c] for c in columns) for row in rows),
         )
 
 
 @dataclass(frozen=True)
-class EvalReport:
+class EvalReport(Record):
     """Run metadata, named tables, and a free-form detail section."""
 
     metadata: Mapping[str, Any]
     tables: Mapping[str, ReportTable]
-    details: Mapping[str, Any] = field(default_factory=dict)
+    details: Mapping[str, Any]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "metadata", dict(self.metadata))
         object.__setattr__(self, "tables", dict(self.tables))
         object.__setattr__(self, "details", dict(self.details))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "metadata": dict(self.metadata),
-            "tables": {name: t.to_dict() for name, t in self.tables.items()},
-            "details": dict(self.details),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "EvalReport":
-        return cls(
-            metadata=data["metadata"],
-            tables={
-                name: ReportTable.from_dict(t)
-                for name, t in data["tables"].items()
-            },
-            details=data.get("details", {}),
-        )
 
 
 def _render_json(report: EvalReport) -> str:
@@ -114,8 +93,7 @@ def _render_csv(report: EvalReport) -> str:
         table = report.tables[name]
         writer.writerow([f"# {name}"])
         writer.writerow(table.columns)
-        for row in table.formatted_rows():
-            writer.writerow(row)
+        writer.writerows(table.rows)
         writer.writerow([])
     return buffer.getvalue()
 
@@ -124,9 +102,8 @@ def _render_markdown(report: EvalReport) -> str:
     lines: list[str] = []
     for name in sorted(report.tables):
         table = report.tables[name]
-        formatted = table.formatted_rows()
         widths = [len(c) for c in table.columns]
-        for row in formatted:
+        for row in table.rows:
             for i, cell in enumerate(row):
                 widths[i] = max(widths[i], len(cell))
         header = " | ".join(
@@ -137,7 +114,7 @@ def _render_markdown(report: EvalReport) -> str:
         lines.append("")
         lines.append(f"| {header} |")
         lines.append(f"| {separator} |")
-        for row in formatted:
+        for row in table.rows:
             body = " | ".join(
                 cell.ljust(widths[i]) for i, cell in enumerate(row)
             )

@@ -46,6 +46,7 @@ from feedbacklab.errors import IngestError
 from feedbacklab.ingest import load_corpus, make_store, save_corpus
 from feedbacklab.judge import EndpointConfig, HttpBackend, StubBackend
 from feedbacklab.prompts import PAIR_MATCH
+from feedbacklab.report import EvalReport
 from cache_segments import segment_keys
 from test_judgeclient import (
     GOOD,
@@ -220,12 +221,28 @@ def test_torn_cache_entry_is_a_miss_and_is_rewritten(tmp_path, caplog, monkeypat
     assert snapshot(run_dir) == first
 
 
-def test_report_rerenders_without_touching_log(tmp_path):
-    args = ["--config", FIXTURE_CONFIG, "--set", f"paths.runs_root={tmp_path}"]
-    assert main(["consensus-eval", *args]) == 0
-    run_dir = only_run_dir(tmp_path)
+def report_setup(tmp_path, command):
+    """Config path and --set overrides for a run of command under
+    tmp_path/runs."""
+    if command == "consensus-eval":
+        return FIXTURE_CONFIG, [f"paths.runs_root={tmp_path / 'runs'}"]
+    setups = {
+        "parse": lambda t: parse_setup(t, [synth_paper("p1", [], ("R1", "R2"))]),
+        "calibrate": calibrate_setup,
+        "success-eval": success_eval_setup,
+    }
+    return setups.get(command, forge_dpo_setup)(tmp_path), []
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "report"])
+def test_report_rerenders_without_touching_log(tmp_path, command):
+    cfg, overrides = report_setup(tmp_path, command)
+    report = run(command, load_config(cfg, overrides))
+    run_dir = only_run_dir(tmp_path / "runs")
+    assert EvalReport.from_dict(read_report(run_dir)) == report
     before = snapshot(run_dir)
     (run_dir / "report.md").unlink()
+    args = ["--config", cfg, *(f"--set={o}" for o in overrides)]
     assert main(["report", *args]) == 0
     assert snapshot(run_dir) == before
 
@@ -243,7 +260,7 @@ def test_report_requires_a_stored_run(tmp_path):
     assert rc == 3
 
 
-@pytest.mark.parametrize("damage", ["truncated", "no tables"])
+@pytest.mark.parametrize("damage", ["truncated", "no tables", "no details"])
 def test_report_on_a_damaged_stored_report_exits_3(tmp_path, capsys, damage):
     args = ["--config", FIXTURE_CONFIG, "--set", f"paths.runs_root={tmp_path}"]
     assert main(["consensus-eval", *args]) == 0
@@ -252,7 +269,7 @@ def test_report_on_a_damaged_stored_report_exits_3(tmp_path, capsys, damage):
         stored.write_bytes(stored.read_bytes()[: stored.stat().st_size // 2])
     else:
         data = json.loads(stored.read_text())
-        del data["tables"]
+        del data[damage.removeprefix("no ")]
         stored.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["report", *args]) == 3
@@ -1225,17 +1242,23 @@ def test_record_checks_name_file_and_line(tmp_path, capsys):
         ("calibrate", "pairs.jsonl"),
         ("calibrate", "annotations.jsonl"),
         ("success-eval", "model.jsonl"),
+        ("consensus-eval", "model.jsonl"),
+        ("parse", "annotations.jsonl"),
         ("ingest", "test.jsonl"),
     ],
 )
-def test_missing_input_file_is_one_error_line(tmp_path, capsys, command, missing):
+def test_missing_input_file_is_one_error_line(
+    tmp_path, capsys, monkeypatch, command, missing
+):
     calibrate_setup(tmp_path)
     write_corpus(tmp_path / "corpus", [synth_paper("p1", [])])
     (tmp_path / "model.jsonl").write_text(
         canonical_json({"paper_id": "p1", "text": "a point"}) + "\n"
     )
+    (tmp_path / "stub.json").write_text("{}")
     cfg = write_config(
         tmp_path / "config.json",
+        stub_fixture="stub.json",
         paths={
             "corpus_root": "corpus",
             "model_feedback": "model.jsonl",
@@ -1246,9 +1269,18 @@ def test_missing_input_file_is_one_error_line(tmp_path, capsys, command, missing
     )
     [path] = tmp_path.rglob(missing)
     path.unlink()
+
+    def no_judge(*args):
+        raise AssertionError("judge built or called before every input loaded")
+
+    monkeypatch.setattr(StubBackend, "complete", no_judge)
+    monkeypatch.setattr(StubBackend, "from_file", no_judge)
     assert main([command, "--config", cfg]) == 3
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and line.endswith(f"file not found: {path}")
+    runs = tmp_path / "runs"
+    assert list(runs.rglob("parsed_store")) == []
+    assert list(runs.rglob("cache/*.bin")) == []
 
 
 @pytest.mark.parametrize("tags", ["aspects", "dimensions"])

@@ -15,11 +15,6 @@ CODEC_METHODS = {"to_dict", "from_dict"}
 ALLOWED = {
     "core.Record.to_dict",
     "core.Record.from_dict",
-    # A report's cells are formatted and `details` is always written.
-    "report.ReportTable.to_dict",
-    "report.ReportTable.from_dict",
-    "report.EvalReport.to_dict",
-    "report.EvalReport.from_dict",
     # A DPO line is built from the pair and its prompt.
     "forge.PreferencePair.to_dict",
 }

@@ -39,6 +39,7 @@ from feedbacklab.forge import (
 )
 from feedbacklab.ingest import AnnotationRecord
 from feedbacklab.prompts import CORRUPTION_DIMENSIONS
+from feedbacklab.report import EvalReport, ReportTable, render_report
 from feedbacklab.successeval import UnitEvaluation
 
 # What read_jsonl turns into `path:line: malformed ...`.
@@ -538,3 +539,21 @@ def test_unknown_keys_are_ignored_in_nested_records_too():
     assert CorruptionVariant.from_dict(data).verification == VariantVerification(
         "vague", 2, 3
     )
+
+
+def test_report_cells_are_formatted_once_and_read_back_equal():
+    # A table formats its cells when it is built, so a report read back
+    # from its dict holds the same strings as the report that wrote it.
+    columns = ("name", "n", "rate", "ok", "gap")
+    row = {"name": "a", "n": 2, "rate": 0.5, "ok": True, "gap": None, "x": 1}
+    table = ReportTable.by_key(columns, [row])
+    assert table.rows == (("a", "2", "0.500", "true", ""),)
+    empty = ReportTable.by_key(columns, [])
+    report = EvalReport(
+        metadata={"seed": 0}, tables={"t": table, "empty": empty}, details={}
+    )
+    data = report.to_dict()
+    assert data["tables"]["empty"] == {"columns": list(columns), "rows": []}
+    assert data["details"] == {}
+    assert EvalReport.from_dict(data) == report
+    assert render_report(report, "csv").startswith("# empty\nname,n,rate,ok,gap\n\n")
