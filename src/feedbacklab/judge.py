@@ -500,16 +500,16 @@ class StubBackend:
 
 
 class HttpBackend:
-    """Chat-completions-style HTTP JSON backend with retry and limits."""
+    """Chat-completions-style HTTP JSON backend with retry and limits.
 
-    def __init__(self, session=None, clock=time.monotonic, sleeper=time.sleep):
-        if session is None:
-            import requests
+    Requests go through the standard library's urllib: proxies come from
+    the environment, TLS uses Python's default trust store, and each
+    call opens its own connection. urllib is imported on the first call,
+    so stub runs never load it.
+    """
 
-            session = requests.Session()
-        self._session = session
+    def __init__(self, sleeper=time.sleep):
         self._sleep = sleeper
-        self._clock = clock
         self._limiters: dict[tuple[str, int], RateLimiter] = {}
         self._lock = threading.Lock()
 
@@ -518,9 +518,7 @@ class HttpBackend:
         with self._lock:
             if key not in self._limiters:
                 self._limiters[key] = RateLimiter(
-                    endpoint.requests_per_minute,
-                    clock=self._clock,
-                    sleeper=self._sleep,
+                    endpoint.requests_per_minute, sleeper=self._sleep
                 )
             return self._limiters[key]
 
@@ -536,28 +534,40 @@ class HttpBackend:
         return headers
 
     def _post(self, endpoint: EndpointConfig, route: str, payload: dict) -> dict:
+        from http.client import HTTPException
+        from urllib.error import HTTPError
+        from urllib.request import Request, urlopen
+
         if not endpoint.base_url:
             raise ConfigError("live endpoint requires a base_url")
         url = endpoint.base_url.rstrip("/") + route
+        data = json.dumps(payload).encode("utf-8")
         last_error = ""
         for attempt in range(MAX_HTTP_ATTEMPTS):
             self._limiter(endpoint).acquire()
+            request = Request(
+                url, data=data, headers=self._headers(endpoint), method="POST"
+            )
             try:
-                resp = self._session.post(
-                    url, json=payload, headers=self._headers(endpoint), timeout=120
-                )
-            except OSError as exc:
+                with urlopen(request, timeout=120) as resp:
+                    status, body = resp.status, resp.read()
+            except HTTPError as exc:
+                exc.close()
+                status, body = exc.code, b""
+            # HTTPException covers a reply cut short (IncompleteRead) or
+            # garbled; it is not an OSError.
+            except (OSError, HTTPException) as exc:
                 last_error = str(exc)
                 self._sleep(BACKOFF_BASE_SECONDS * 2**attempt)
                 continue
-            if resp.status_code in RETRYABLE_STATUS:
-                last_error = f"HTTP {resp.status_code}"
+            if status in RETRYABLE_STATUS:
+                last_error = f"HTTP {status}"
                 self._sleep(BACKOFF_BASE_SECONDS * 2**attempt)
                 continue
-            if resp.status_code != 200:
-                raise JudgeError(f"HTTP {resp.status_code} from {url}")
+            if status != 200:
+                raise JudgeError(f"HTTP {status} from {url}")
             try:
-                return resp.json()
+                return json.loads(body)
             except ValueError:
                 raise JudgeError(
                     f"HTTP 200 from {url} with a non-JSON body"

@@ -48,13 +48,8 @@ from feedbacklab.judge import EndpointConfig, HttpBackend, StubBackend
 from feedbacklab.prompts import PAIR_MATCH
 from feedbacklab.report import EvalReport
 from cache_segments import segment_keys
-from test_judgeclient import (
-    GOOD,
-    FakeResponse,
-    FakeSession,
-    bindings,
-    completion_payload,
-)
+from loopback import judge_server, live_args
+from test_judgeclient import GOOD, bindings, completion_payload
 
 FIXTURE = Path(feedbacklab.__file__).parent / "fixtures" / "consensus_demo"
 FIXTURE_CONFIG = str(FIXTURE / "config.json")
@@ -1048,7 +1043,9 @@ def test_consensus_eval_same_bytes_at_any_concurrency(tmp_path):
     )
 
 
-def test_success_eval_same_bytes_at_any_concurrency(tmp_path):
+def success_eval_fan_out_setup(tmp_path):
+    """Three papers of five model units each; point 3 fails quality and
+    point 1 is predicted rebutted."""
     papers = [synth_paper(f"p{i}", []) for i in range(3)]
     write_corpus(tmp_path / "corpus", papers)
     (tmp_path / "model.jsonl").write_text(
@@ -1092,7 +1089,7 @@ def test_success_eval_same_bytes_at_any_concurrency(tmp_path):
         }
     }
     (tmp_path / "stub.json").write_text(json.dumps(stub))
-    cfg = write_config(
+    return write_config(
         tmp_path / "config.json",
         stub_fixture="stub.json",
         sampling={"k": 2, "iterations": 50},
@@ -1102,6 +1099,10 @@ def test_success_eval_same_bytes_at_any_concurrency(tmp_path):
             "runs_root": "runs",
         },
     )
+
+
+def test_success_eval_same_bytes_at_any_concurrency(tmp_path):
+    cfg = success_eval_fan_out_setup(tmp_path)
     assert_same_bytes_at_any_concurrency(tmp_path, "success-eval", cfg)
     evaluations = (
         (tmp_path / "done-4" / "artifacts" / "unit_evaluations.jsonl")
@@ -1236,20 +1237,23 @@ def test_record_checks_name_file_and_line(tmp_path, capsys):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize(
-    "command, missing",
-    [
-        ("calibrate", "pairs.jsonl"),
-        ("calibrate", "annotations.jsonl"),
-        ("success-eval", "model.jsonl"),
-        ("consensus-eval", "model.jsonl"),
-        ("parse", "annotations.jsonl"),
-        ("ingest", "test.jsonl"),
-    ],
-)
-def test_missing_input_file_is_one_error_line(
-    tmp_path, capsys, monkeypatch, command, missing
+# Each command with each input file it reads.
+COMMAND_INPUTS = [
+    ("calibrate", "pairs.jsonl"),
+    ("calibrate", "annotations.jsonl"),
+    ("success-eval", "model.jsonl"),
+    ("consensus-eval", "model.jsonl"),
+    ("parse", "annotations.jsonl"),
+    ("ingest", "test.jsonl"),
+]
+
+
+def assert_bad_input_is_one_error_line(
+    tmp_path, capsys, monkeypatch, command, name, spoil
 ):
+    """With the input file `name` spoiled by spoil(path), which returns a
+    pattern for the error's message, command exits 3 with one stderr
+    line, `error: <message>`, before any judge is built or called."""
     calibrate_setup(tmp_path)
     write_corpus(tmp_path / "corpus", [synth_paper("p1", [])])
     (tmp_path / "model.jsonl").write_text(
@@ -1267,8 +1271,8 @@ def test_missing_input_file_is_one_error_line(
             "runs_root": "runs",
         },
     )
-    [path] = tmp_path.rglob(missing)
-    path.unlink()
+    [path] = tmp_path.rglob(name)
+    pattern = spoil(path)
 
     def no_judge(*args):
         raise AssertionError("judge built or called before every input loaded")
@@ -1277,10 +1281,36 @@ def test_missing_input_file_is_one_error_line(
     monkeypatch.setattr(StubBackend, "from_file", no_judge)
     assert main([command, "--config", cfg]) == 3
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: ") and line.endswith(f"file not found: {path}")
+    assert re.fullmatch(f"error: {pattern}", line), line
     runs = tmp_path / "runs"
     assert list(runs.rglob("parsed_store")) == []
     assert list(runs.rglob("cache/*.bin")) == []
+
+
+@pytest.mark.parametrize("command, missing", COMMAND_INPUTS)
+def test_missing_input_file_is_one_error_line(
+    tmp_path, capsys, monkeypatch, command, missing
+):
+    def remove(path):
+        path.unlink()
+        return f".*file not found: {re.escape(str(path))}"
+
+    assert_bad_input_is_one_error_line(
+        tmp_path, capsys, monkeypatch, command, missing, remove
+    )
+
+
+@pytest.mark.parametrize("command, name", COMMAND_INPUTS)
+def test_non_json_input_line_is_one_error_line(
+    tmp_path, capsys, monkeypatch, command, name
+):
+    def garble(path):
+        path.write_text("not json\n")
+        return f"{re.escape(str(path))}:1: malformed [a-z ]+: Expecting value: .*"
+
+    assert_bad_input_is_one_error_line(
+        tmp_path, capsys, monkeypatch, command, name, garble
+    )
 
 
 @pytest.mark.parametrize("tags", ["aspects", "dimensions"])
@@ -1419,84 +1449,104 @@ def deciding_read():
 
 def test_every_config_setting_is_read(tmp_path, monkeypatch):
     monkeypatch.setenv("TEST_JUDGE_KEY", "sekret")
-    live = {"base_url": "http://judge.local/v1", "api_key_env": "TEST_JUDGE_KEY"}
-    base = parse_config({"endpoints": {"pair_match": live}}, base_dir=tmp_path)
-    owners = {}  # leaf name -> (class name, field name)
-    for name, _ in leaf_variants(base):
-        *parents, leaf = name.split(".")
-        obj = base
-        for part in parents:
-            obj = obj[part] if isinstance(obj, dict) else getattr(obj, part)
-        owners[name] = (type(obj).__name__, leaf)
+    replies = [(200, completion_payload(GOOD))]
+    with judge_server(monkeypatch, replies=replies) as server:
+        live = {"base_url": server.url, "api_key_env": "TEST_JUDGE_KEY"}
+        base = parse_config({"endpoints": {"pair_match": live}}, base_dir=tmp_path)
+        owners = {}  # leaf name -> (class name, field name)
+        for name, _ in leaf_variants(base):
+            *parents, leaf = name.split(".")
+            obj = base
+            for part in parents:
+                obj = obj[part] if isinstance(obj, dict) else getattr(obj, part)
+            owners[name] = (type(obj).__name__, leaf)
 
-    reads = set()
+        reads = set()
 
-    def recording(cls):
-        names = {f.name for f in dataclasses.fields(cls)}
+        def recording(cls):
+            names = {f.name for f in dataclasses.fields(cls)}
 
-        def __getattribute__(self, name):
-            if name in names and deciding_read():
-                reads.add((cls.__name__, name))
-            return object.__getattribute__(self, name)
+            def __getattribute__(self, name):
+                if name in names and deciding_read():
+                    reads.add((cls.__name__, name))
+                return object.__getattribute__(self, name)
 
-        return __getattribute__
+            return __getattribute__
 
-    class Lookups(dict):
-        def __getitem__(self, key):
-            if deciding_read():
-                reads.add(("PathsConfig", key))
-            return super().__getitem__(key)
+        class Lookups(dict):
+            def __getitem__(self, key):
+                if deciding_read():
+                    reads.add(("PathsConfig", key))
+                return super().__getitem__(key)
 
-    for cls in CONFIG_CLASSES:
-        monkeypatch.setattr(cls, "__getattribute__", recording(cls))
-    resolved = PathsConfig.resolved
-    monkeypatch.setattr(
-        PathsConfig, "resolved", lambda self, base: Lookups(resolved(self, base))
-    )
+        for cls in CONFIG_CLASSES:
+            monkeypatch.setattr(cls, "__getattribute__", recording(cls))
+        resolved = PathsConfig.resolved
+        monkeypatch.setattr(
+            PathsConfig, "resolved", lambda self, base: Lookups(resolved(self, base))
+        )
 
-    demo = ["--config", FIXTURE_CONFIG, "--set", f"paths.runs_root={tmp_path}"]
-    for command in ("ingest", "consensus-eval", "report"):
-        assert main([command, *demo]) == 0
-    for command, setup in (
-        ("parse", lambda root: parse_setup(root, [synth_paper("p1", [])])),
-        ("forge-sft", forge_dpo_setup),
-        ("forge-dpo", forge_dpo_setup),
-        ("calibrate", calibrate_setup),
-        ("success-eval", success_eval_setup),
-    ):
-        root = tmp_path / command
-        root.mkdir()
-        assert main([command, "--config", setup(root)]) == 0, command
-    session = FakeSession([FakeResponse(200, completion_payload(GOOD))])
-    HttpBackend(session=session, sleeper=lambda s: None).complete(
-        base.endpoint("pair_match"), PAIR_MATCH, bindings(), "s", "u"
-    )
+        demo = ["--config", FIXTURE_CONFIG, "--set", f"paths.runs_root={tmp_path}"]
+        for command in ("ingest", "consensus-eval", "report"):
+            assert main([command, *demo]) == 0
+        for command, setup in (
+            ("parse", lambda root: parse_setup(root, [synth_paper("p1", [])])),
+            ("forge-sft", forge_dpo_setup),
+            ("forge-dpo", forge_dpo_setup),
+            ("calibrate", calibrate_setup),
+            ("success-eval", success_eval_setup),
+        ):
+            root = tmp_path / command
+            root.mkdir()
+            assert main([command, "--config", setup(root)]) == 0, command
+        HttpBackend(sleeper=lambda s: None).complete(
+            base.endpoint("pair_match"), PAIR_MATCH, bindings(), "s", "u"
+        )
 
     assert [name for name, owner in owners.items() if owner not in reads] == []
     walked = {"base_dir", "paths.runs_root", "endpoints.pair_match.api_key_env"}
     assert walked <= owners.keys()
 
 
-def test_cli_import_loads_no_heavy_packages():
+def test_cli_import_loads_no_heavy_packages(tmp_path, monkeypatch):
     # scipy and jsonschema (with its dependencies) are test-only
-    # references, and requests is imported only by a live backend.
+    # references. The standard library's HTTP stack is imported by a live
+    # backend's first call, so neither start-up nor a stub run loads it;
+    # requests and urllib3 are never imported.
     heavy = ["jsonschema", "referencing", "rpds", "attrs", "scipy", "requests"]
+    heavy += ["urllib3", "urllib.request", "http.client", "ssl"]
     paths = [str(Path(feedbacklab.__file__).parent.parent)]
     paths += filter(None, [os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    probe = (
-        "import sys, feedbacklab.cli; "
-        f"print([m for m in {heavy!r} if m in sys.modules])"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-        check=True,
-    )
-    assert result.stdout.strip() == "[]"
+
+    def loaded_after(statement):
+        """The heavy modules loaded once statement has run in a fresh
+        interpreter that imported the CLI."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        probe = (
+            f"import sys, feedbacklab.cli; {statement}; "
+            f"print([m for m in {heavy!r} if m in sys.modules])"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        return result.stdout.strip().splitlines()[-1]
+
+    args = ["consensus-eval", "--config", FIXTURE_CONFIG]
+    args += ["--set", f"paths.runs_root={tmp_path}"]
+    assert loaded_after("pass") == "[]"
+    assert loaded_after(f"assert feedbacklab.cli.main({args!r}) == 0") == "[]"
+
+    stub = StubBackend.from_file(FIXTURE / "stub.json")
+    with judge_server(monkeypatch, stub) as server:
+        args += live_args(server.url)
+        live = loaded_after(f"assert feedbacklab.cli.main({args!r}) == 0")
+    assert server.requests
+    assert live == "['urllib.request', 'http.client', 'ssl']"
 
 
 def test_commands_that_never_compute_start_without_numpy(tmp_path):

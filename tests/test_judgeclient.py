@@ -1,15 +1,20 @@
+import contextlib
+import gc
 import hashlib
 import itertools
 import json
 import logging
 import math
 import os
+import re
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
 import threading
 import time
+import warnings
 import zlib
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -56,6 +61,7 @@ from cache_segments import (
     segment_keys,
     table_size,
 )
+from loopback import NOT_JSON, TRUNCATED, clear_proxies, judge_server
 
 GOOD = canonical_json({"match": "1", "explanation": "same point"})
 ENDPOINT = EndpointConfig()
@@ -1623,26 +1629,7 @@ def test_rate_limiter_sliding_window():
     assert len(naps) >= before  # no hang; bookkeeping stays consistent
 
 
-# ---- http backend ----
-
-
-class FakeResponse:
-    def __init__(self, status_code, payload):
-        self.status_code = status_code
-        self._payload = payload
-
-    def json(self):
-        return self._payload
-
-
-class FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.requests = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append({"url": url, "json": json, "headers": headers})
-        return self.responses.pop(0)
+# ---- http backend, over a loopback judge server ----
 
 
 def completion_payload(content):
@@ -1652,123 +1639,154 @@ def completion_payload(content):
     }
 
 
-def live_endpoint(**kw):
-    kw.setdefault("base_url", "http://judge.local/v1")
+def live_endpoint(server, **kw):
     kw.setdefault("model_name", "m")
-    return EndpointConfig(**kw)
+    return EndpointConfig(base_url=server.url, **kw)
+
+
+@contextlib.contextmanager
+def no_resource_warnings():
+    """Fails if the block leaves a socket or response unclosed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_http_backend_retries_on_429(monkeypatch):
-    session = FakeSession(
-        [FakeResponse(429, {}), FakeResponse(200, completion_payload(GOOD))]
-    )
     naps = []
-    backend = HttpBackend(session=session, sleeper=naps.append)
-    raw, usage = backend.complete(
-        live_endpoint(), PAIR_MATCH, bindings(), "sys", "user"
-    )
+    replies = [(429, {}), (200, completion_payload(GOOD))]
+    with judge_server(monkeypatch, replies=replies) as server:
+        raw, usage = HttpBackend(sleeper=naps.append).complete(
+            live_endpoint(server), PAIR_MATCH, bindings(), "sys", "user"
+        )
     assert raw == GOOD
     assert usage == {"prompt_tokens": 5, "completion_tokens": 7}
-    assert len(session.requests) == 2
+    assert len(server.requests) == 2
     assert naps  # backed off between attempts
-    assert session.requests[0]["url"].endswith("/chat/completions")
+    assert server.requests[0]["path"].endswith("/chat/completions")
 
 
-def test_http_backend_gives_up_after_retries():
-    session = FakeSession([FakeResponse(503, {})] * 5)
-    backend = HttpBackend(session=session, sleeper=lambda s: None)
-    with pytest.raises(JudgeError):
-        backend.complete(live_endpoint(), PAIR_MATCH, bindings(), "s", "u")
-    assert len(session.requests) == 5
+def test_http_backend_gives_up_after_retries(monkeypatch):
+    with judge_server(monkeypatch, replies=[(503, {})] * 5) as server:
+        backend = HttpBackend(sleeper=lambda s: None)
+        with pytest.raises(JudgeError, match=r"gave up .* \(HTTP 503\)"):
+            backend.complete(live_endpoint(server), PAIR_MATCH, bindings(), "s", "u")
+    assert len(server.requests) == 5
 
 
-def test_http_backend_no_retry_on_400():
-    session = FakeSession([FakeResponse(400, {})])
-    backend = HttpBackend(session=session, sleeper=lambda s: None)
-    with pytest.raises(JudgeError):
-        backend.complete(live_endpoint(), PAIR_MATCH, bindings(), "s", "u")
-    assert len(session.requests) == 1
+def test_http_backend_retries_a_truncated_body(monkeypatch):
+    replies = [(200, completion_payload(GOOD))] * 5
+    with no_resource_warnings(), judge_server(
+        monkeypatch, replies=replies, faults=lambda body, attempt: TRUNCATED
+    ) as server:
+        backend = HttpBackend(sleeper=lambda s: None)
+        with pytest.raises(JudgeError, match=r"gave up .* \(IncompleteRead\("):
+            backend.complete(live_endpoint(server), PAIR_MATCH, bindings(), "s", "u")
+    assert len(server.requests) == 5
+
+
+def test_http_backend_retries_a_refused_connection(monkeypatch):
+    clear_proxies(monkeypatch)
+    with socket.socket() as sock:  # a port that nothing listens on
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    naps = []
+    endpoint = EndpointConfig(base_url=f"http://127.0.0.1:{port}/v1")
+    with no_resource_warnings():
+        with pytest.raises(JudgeError, match=r"gave up .* \(.*Connection refused"):
+            HttpBackend(sleeper=naps.append).complete(
+                endpoint, PAIR_MATCH, bindings(), "s", "u"
+            )
+    assert len(naps) == 5  # one backoff per failed attempt
+
+
+def test_http_backend_no_retry_on_400(monkeypatch):
+    with judge_server(monkeypatch, replies=[(400, {})]) as server:
+        backend = HttpBackend(sleeper=lambda s: None)
+        with pytest.raises(JudgeError, match="HTTP 400 from"):
+            backend.complete(live_endpoint(server), PAIR_MATCH, bindings(), "s", "u")
+    assert len(server.requests) == 1
 
 
 def test_http_backend_bearer_header(monkeypatch):
     monkeypatch.setenv("TEST_JUDGE_KEY", "sekret")
-    session = FakeSession([FakeResponse(200, completion_payload(GOOD))])
-    backend = HttpBackend(session=session, sleeper=lambda s: None)
-    backend.complete(
-        live_endpoint(api_key_env="TEST_JUDGE_KEY"),
-        PAIR_MATCH,
-        bindings(),
-        "s",
-        "u",
-    )
-    auth = session.requests[0]["headers"]["Authorization"]
-    assert auth == "Bearer sekret"
-
-
-def test_http_backend_missing_key_is_config_error(monkeypatch):
-    monkeypatch.delenv("TEST_JUDGE_KEY", raising=False)
-    backend = HttpBackend(session=FakeSession([]), sleeper=lambda s: None)
-    with pytest.raises(ConfigError):
-        backend.complete(
-            live_endpoint(api_key_env="TEST_JUDGE_KEY"),
+    replies = [(200, completion_payload(GOOD))]
+    with judge_server(monkeypatch, replies=replies) as server:
+        HttpBackend(sleeper=lambda s: None).complete(
+            live_endpoint(server, api_key_env="TEST_JUDGE_KEY"),
             PAIR_MATCH,
             bindings(),
             "s",
             "u",
         )
+    auth = server.requests[0]["headers"]["Authorization"]
+    assert auth == "Bearer sekret"
+
+
+def test_http_backend_missing_key_is_config_error(monkeypatch):
+    monkeypatch.delenv("TEST_JUDGE_KEY", raising=False)
+    with judge_server(monkeypatch) as server:
+        backend = HttpBackend(sleeper=lambda s: None)
+        with pytest.raises(ConfigError):
+            backend.complete(
+                live_endpoint(server, api_key_env="TEST_JUDGE_KEY"),
+                PAIR_MATCH,
+                bindings(),
+                "s",
+                "u",
+            )
+    assert server.requests == []
 
 
 def test_http_backend_requires_base_url():
-    backend = HttpBackend(session=FakeSession([]), sleeper=lambda s: None)
+    backend = HttpBackend(sleeper=lambda s: None)
     with pytest.raises(ConfigError):
         backend.complete(EndpointConfig(), PAIR_MATCH, bindings(), "s", "u")
 
 
-def test_http_backend_embeddings():
+def test_http_backend_embeddings(monkeypatch):
     payload = {"data": [{"embedding": [3.0, 4.0]}, {"embedding": [0.0, 2.0]}]}
-    session = FakeSession([FakeResponse(200, payload)])
-    backend = HttpBackend(session=session, sleeper=lambda s: None)
-    vecs = backend.embed(live_endpoint(), ["a", "b"])
-    assert session.requests[0]["url"].endswith("/embeddings")
-    assert np.allclose(vecs[0], [0.6, 0.8])  # normalized
-    assert np.allclose(vecs[1], [0.0, 1.0])
-    short = FakeSession([FakeResponse(200, {"data": [{"embedding": [1.0]}]})])
-    with pytest.raises(JudgeError):
-        HttpBackend(session=short, sleeper=lambda s: None).embed(
-            live_endpoint(), ["a", "b"]
-        )
+    short = {"data": [{"embedding": [1.0]}]}
+    with judge_server(monkeypatch, replies=[(200, payload), (200, short)]) as server:
+        backend = HttpBackend(sleeper=lambda s: None)
+        vecs = backend.embed(live_endpoint(server), ["a", "b"])
+        assert server.requests[0]["path"].endswith("/embeddings")
+        assert np.allclose(vecs[0], [0.6, 0.8])  # normalized
+        assert np.allclose(vecs[1], [0.0, 1.0])
+        with pytest.raises(JudgeError):
+            backend.embed(live_endpoint(server), ["a", "b"])
 
 
-def test_http_backend_splits_embedding_batches():
+def test_http_backend_splits_embedding_batches(monkeypatch):
     texts = [f"t{k}" for k in range(600)]
     sizes = [256, 256, 88]
     assert MAX_EMBED_BATCH == sizes[0]
     # Text k embeds to a multiple of (k + 1, 1), so order is checkable.
-    responses = []
+    replies = []
     start = 0
     for size in sizes:
         rows = [{"embedding": [k + 1.0, 1.0]} for k in range(start, start + size)]
-        responses.append(FakeResponse(200, {"data": rows}))
+        replies.append((200, {"data": rows}))
         start += size
-    session = FakeSession(responses)
-    vecs = HttpBackend(session=session, sleeper=lambda s: None).embed(
-        live_endpoint(requests_per_minute=100), texts
-    )
-    assert [r["json"]["input"] for r in session.requests] == [
-        texts[:256],
-        texts[256:512],
-        texts[512:],
-    ]
-    assert len(vecs) == len(texts)
-    for k, vec in enumerate(vecs):
-        assert vec[0] / vec[1] == pytest.approx(k + 1.0)
+    full = {"data": [{"embedding": [1.0, 0.0]}] * 256}
+    replies += [(200, full)] * 3
+    with judge_server(monkeypatch, replies=replies) as server:
+        backend = HttpBackend(sleeper=lambda s: None)
+        endpoint = live_endpoint(server, requests_per_minute=100)
+        vecs = backend.embed(endpoint, texts)
+        assert [r["json"]["input"] for r in server.requests] == [
+            texts[:256],
+            texts[256:512],
+            texts[512:],
+        ]
+        assert len(vecs) == len(texts)
+        for k, vec in enumerate(vecs):
+            assert vec[0] / vec[1] == pytest.approx(k + 1.0)
 
-    full = FakeResponse(200, {"data": [{"embedding": [1.0, 0.0]}] * 256})
-    short = FakeSession([full] * 3)
-    with pytest.raises(JudgeError, match="sent 88, got 256"):
-        HttpBackend(session=short, sleeper=lambda s: None).embed(
-            live_endpoint(requests_per_minute=100), texts
-        )
+        with pytest.raises(JudgeError, match="sent 88, got 256"):
+            backend.embed(endpoint, texts)
 
 
 @pytest.mark.parametrize(
@@ -1779,29 +1797,26 @@ def test_http_backend_splits_embedding_batches():
         {**completion_payload(GOOD), "usage": None},
     ],
 )
-def test_http_backend_malformed_completion_is_judge_error(payload):
-    session = FakeSession([FakeResponse(200, payload)])
-    backend = HttpBackend(session=session, sleeper=lambda s: None)
-    with pytest.raises(JudgeError, match="malformed completion payload"):
-        backend.complete(live_endpoint(), PAIR_MATCH, bindings(), "s", "u")
+def test_http_backend_malformed_completion_is_judge_error(monkeypatch, payload):
+    with judge_server(monkeypatch, replies=[(200, payload)]) as server:
+        backend = HttpBackend(sleeper=lambda s: None)
+        with pytest.raises(JudgeError, match="malformed completion payload"):
+            backend.complete(live_endpoint(server), PAIR_MATCH, bindings(), "s", "u")
 
 
 @pytest.mark.parametrize("row", ["abc", 5, [[1.0], [1.0, 2.0]], {}])
-def test_http_backend_non_vector_embedding_is_judge_error(row):
+def test_http_backend_non_vector_embedding_is_judge_error(monkeypatch, row):
     payload = {"data": [{"embedding": row}]}
-    session = FakeSession([FakeResponse(200, payload)])
-    backend = HttpBackend(session=session, sleeper=lambda s: None)
-    with pytest.raises(JudgeError, match="malformed embeddings payload"):
-        backend.embed(live_endpoint(), ["a"])
+    with judge_server(monkeypatch, replies=[(200, payload)]) as server:
+        backend = HttpBackend(sleeper=lambda s: None)
+        with pytest.raises(JudgeError, match="malformed embeddings payload"):
+            backend.embed(live_endpoint(server), ["a"])
 
 
-def test_http_backend_non_json_200_is_judge_error():
-    class NotJson(FakeResponse):
-        def json(self):
-            raise ValueError("Expecting value: line 1 column 1 (char 0)")
-
-    session = FakeSession([NotJson(200, None)])
-    backend = HttpBackend(session=session, sleeper=lambda s: None)
-    with pytest.raises(JudgeError, match="judge.local/v1/chat/completions"):
-        backend.complete(live_endpoint(), PAIR_MATCH, bindings(), "s", "u")
-    assert len(session.requests) == 1
+def test_http_backend_non_json_200_is_judge_error(monkeypatch):
+    with judge_server(monkeypatch, faults=lambda body, attempt: NOT_JSON) as server:
+        backend = HttpBackend(sleeper=lambda s: None)
+        url = re.escape(server.url + "/chat/completions")
+        with pytest.raises(JudgeError, match=f"HTTP 200 from {url} with a non-JSON"):
+            backend.complete(live_endpoint(server), PAIR_MATCH, bindings(), "s", "u")
+    assert len(server.requests) == 1
