@@ -499,7 +499,7 @@ def cmd_consensus_eval(ctx: RunContext) -> EvalReport:
     )
 
     per_paper_rows = []
-    papers_data: list[cons.PaperMatchData] = []
+    scores: list[cons.MatchScore] = []
     edge_dump: list[dict[str, Any]] = []
     consensus_detail: dict[str, Any] = {}
     excluded: list[str] = []
@@ -526,11 +526,12 @@ def cmd_consensus_eval(ctx: RunContext) -> EvalReport:
         score = cons.score_model(
             consensus, model_units, hm_edges, clusters=clusters
         )
+        scores.append(score)
         per_paper_rows.append(
             (
                 paper.paper_id,
-                len(consensus.members),
-                len(model_units),
+                score.consensus_size,
+                len(score.model_unit_ids),
                 len(score.matched_model_units),
                 len(score.matched_consensus_units),
                 score.precision,
@@ -538,23 +539,18 @@ def cmd_consensus_eval(ctx: RunContext) -> EvalReport:
                 score.f1,
             )
         )
-        papers_data.append(
-            cons.paper_match_data(
-                consensus, [u.id for u in model_units], hm_edges
-            )
-        )
         consensus_detail[paper.paper_id] = {
             "members": sorted(consensus.members),
             "matched_model_units": sorted(score.matched_model_units),
             "matched_consensus_units": sorted(score.matched_consensus_units),
         }
-    if not papers_data:
+    if not scores:
         raise PipelineError(
             "consensus-eval: no paper has both consensus and model feedback"
         )
     ctx.write_jsonl("match_edges.jsonl", edge_dump)
     aggregate = cons.bootstrap_match_eval(
-        papers_data,
+        scores,
         k=config.sampling.k,
         iterations=config.sampling.iterations,
         seed=config.sampling.seed,

@@ -62,6 +62,17 @@ class ConsensusSet:
 
 @dataclass(frozen=True)
 class MatchScore:
+    """One paper's model units scored against its consensus set.
+
+    The bootstrap redraws model units from `model_unit_ids` and
+    `member_matches`: each member with a judged-true edge -> the sorted
+    ids of the model units it matches.
+    """
+
+    paper_id: str
+    consensus_size: int
+    model_unit_ids: tuple[str, ...]
+    member_matches: Mapping[str, tuple[str, ...]]
     matched_model_units: frozenset[str]
     matched_consensus_units: frozenset[str]
     precision: float
@@ -299,31 +310,15 @@ def consensus_clusters(
     ]
 
 
-def _true_match_map(
-    edges: Iterable[MatchEdge],
-    model_ids: set[str],
-    consensus_members: frozenset[str],
-) -> dict[str, set[str]]:
-    """model unit id -> consensus members it truly matches."""
-    matches: dict[str, set[str]] = {}
-    for edge in edges:
-        if edge.judged is not True:
-            continue
-        a, b = edge.left_unit_id, edge.right_unit_id
-        if a in model_ids and b in consensus_members:
-            model_id, member = a, b
-        elif b in model_ids and a in consensus_members:
-            model_id, member = b, a
-        else:
-            continue
-        matches.setdefault(model_id, set()).add(member)
-    return matches
+def _f1(precision, recall):
+    """F1 of precision and recall, elementwise; 0 where both are 0.
 
-
-def f1_score(precision: float, recall: float) -> float:
-    if precision == 0.0 and recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    np.where evaluates both branches, so the inputs must be numpy
+    values: a Python-float 0/0 raises where numpy gives a discarded nan.
+    """
+    total = precision + recall
+    with np.errstate(invalid="ignore"):
+        return np.where(total > 0, 2 * precision * recall / total, 0.0)
 
 
 def score_model(
@@ -345,14 +340,24 @@ def score_model(
         )
     if not model_units:
         raise PipelineError("score_model: empty model unit set")
-    model_ids = [u if isinstance(u, str) else u.id for u in model_units]
-    if len(set(model_ids)) != len(model_ids):
+    model_ids = tuple(u if isinstance(u, str) else u.id for u in model_units)
+    known = set(model_ids)
+    if len(known) != len(model_ids):
         raise PipelineError("score_model: duplicate model unit ids")
-    match_map = _true_match_map(edges, set(model_ids), consensus.members)
-    matched_model = frozenset(match_map)
-    matched_members = frozenset(
-        m for members in match_map.values() for m in members
-    )
+    matches: dict[str, set[str]] = {}  # member -> model unit ids
+    for edge in edges:
+        if edge.judged is not True:
+            continue
+        a, b = edge.left_unit_id, edge.right_unit_id
+        if a in known and b in consensus.members:
+            model_id, member = a, b
+        elif b in known and a in consensus.members:
+            model_id, member = b, a
+        else:
+            continue
+        matches.setdefault(member, set()).add(model_id)
+    matched_model = frozenset(m for ids in matches.values() for m in ids)
+    matched_members = frozenset(matches)
     precision = len(matched_model) / len(model_ids)
     if clusters is None:
         recall = len(matched_members) / len(consensus.members)
@@ -362,11 +367,17 @@ def score_model(
         hit = sum(1 for c in clusters if c & matched_members)
         recall = hit / len(clusters)
     return MatchScore(
+        paper_id=consensus.paper_id,
+        consensus_size=len(consensus.members),
+        model_unit_ids=model_ids,
+        member_matches={
+            m: tuple(sorted(ids)) for m, ids in sorted(matches.items())
+        },
         matched_model_units=matched_model,
         matched_consensus_units=matched_members,
         precision=precision,
         recall=recall,
-        f1=f1_score(precision, recall),
+        f1=float(_f1(np.float64(precision), np.float64(recall))),
     )
 
 
@@ -469,52 +480,8 @@ def decompose_novel_aligned(
     return out
 
 
-@dataclass(frozen=True)
-class PaperMatchData:
-    """Per-paper inputs for the bootstrap: who truly matches whom."""
-
-    paper_id: str
-    consensus_size: int
-    model_unit_ids: tuple[str, ...]
-    # member -> model unit ids with a judged-true edge to it
-    member_matches: Mapping[str, tuple[str, ...]]
-
-    def __post_init__(self) -> None:
-        if self.consensus_size <= 0:
-            raise PipelineError(
-                f"paper {self.paper_id}: bootstrap needs nonempty consensus"
-            )
-        if not self.model_unit_ids:
-            raise PipelineError(f"paper {self.paper_id}: no model units")
-        object.__setattr__(
-            self,
-            "member_matches",
-            {m: tuple(v) for m, v in self.member_matches.items()},
-        )
-
-
-def paper_match_data(
-    consensus: ConsensusSet,
-    model_unit_ids: Sequence[str],
-    edges: Sequence[MatchEdge],
-) -> PaperMatchData:
-    match_map = _true_match_map(
-        edges, set(model_unit_ids), consensus.members
-    )
-    member_matches: dict[str, list[str]] = {}
-    for model_id, members in match_map.items():
-        for m in members:
-            member_matches.setdefault(m, []).append(model_id)
-    return PaperMatchData(
-        paper_id=consensus.paper_id,
-        consensus_size=len(consensus.members),
-        model_unit_ids=tuple(model_unit_ids),
-        member_matches={m: tuple(sorted(v)) for m, v in member_matches.items()},
-    )
-
-
 def bootstrap_match_eval(
-    papers: Sequence[PaperMatchData],
+    papers: Sequence[MatchScore],
     k: int = Sampling.k,
     iterations: int = Sampling.iterations,
     seed: int = Sampling.seed,
@@ -522,11 +489,12 @@ def bootstrap_match_eval(
 ) -> dict[str, Any]:
     """Bootstrap precision/recall/F1 over per-paper model subsamples.
 
-    Each iteration draws min(k, n) model units per paper without
-    replacement; counts pool across papers (micro) or average per-paper
-    metrics (macro) before aggregating over iterations. Per-paper
-    generators are derived from (seed, paper_id), so paper order does
-    not affect draws.
+    Each paper is its score_model record. Each iteration draws min(k, n)
+    model units per paper without replacement; counts pool across papers
+    (micro) or average per-paper metrics (macro) before aggregating over
+    iterations. Per-paper generators are derived from (seed, paper_id),
+    so paper order does not affect draws. Recall counts members, even
+    where the score's own recall counts clusters.
     """
     if not papers:
         raise PipelineError("bootstrap_match_eval: no papers")
@@ -540,50 +508,28 @@ def bootstrap_match_eval(
     for p_idx, paper in enumerate(papers):
         n = len(paper.model_unit_ids)
         unit_index = {uid: i for i, uid in enumerate(paper.model_unit_ids)}
-        unit_matched = np.zeros(n, dtype=bool)
         members = sorted(paper.member_matches)
         incidence = np.zeros((len(members), n), dtype=bool)
         for m_idx, member in enumerate(members):
             for uid in paper.member_matches[member]:
-                if uid not in unit_index:
-                    raise PipelineError(
-                        f"paper {paper.paper_id}: matched unit {uid} not in "
-                        "model unit list"
-                    )
                 incidence[m_idx, unit_index[uid]] = True
-                unit_matched[unit_index[uid]] = True
         idx = draw_without_replacement(keyed_rng(seed, paper.paper_id), b, n, k)
-        matched_model[:, p_idx] = unit_matched[idx].sum(axis=1)
+        matched_model[:, p_idx] = incidence.any(axis=0)[idx].sum(axis=1)
         drawn_total[:, p_idx] = idx.shape[1]
-        if members:
-            hit = incidence[:, idx]  # (members, B, k)
-            matched_members[:, p_idx] = hit.any(axis=2).sum(axis=0)
+        hit = incidence[:, idx]  # (members, B, k)
+        matched_members[:, p_idx] = hit.any(axis=2).sum(axis=0)
         member_total[:, p_idx] = paper.consensus_size
 
     if macro:
-        precision_draws = (matched_model / drawn_total).mean(axis=1)
-        recall_draws = (matched_members / member_total).mean(axis=1)
-        p_paper = matched_model / drawn_total
-        r_paper = matched_members / member_total
-        with np.errstate(invalid="ignore"):
-            f1_paper = np.where(
-                (p_paper + r_paper) > 0,
-                2 * p_paper * r_paper / (p_paper + r_paper),
-                0.0,
-            )
-        f1_draws = f1_paper.mean(axis=1)
+        precision_paper = matched_model / drawn_total
+        recall_paper = matched_members / member_total
+        precision_draws = precision_paper.mean(axis=1)
+        recall_draws = recall_paper.mean(axis=1)
+        f1_draws = _f1(precision_paper, recall_paper).mean(axis=1)
     else:
         precision_draws = matched_model.sum(axis=1) / drawn_total.sum(axis=1)
         recall_draws = matched_members.sum(axis=1) / member_total.sum(axis=1)
-        with np.errstate(invalid="ignore"):
-            f1_draws = np.where(
-                (precision_draws + recall_draws) > 0,
-                2
-                * precision_draws
-                * recall_draws
-                / (precision_draws + recall_draws),
-                0.0,
-            )
+        f1_draws = _f1(precision_draws, recall_draws)
 
     out: dict[str, Any] = {
         "k": k,
@@ -607,7 +553,6 @@ __all__ = [
     "MatchScore",
     "StratumRow",
     "StratumTable",
-    "PaperMatchData",
     "DEFAULT_BOUNDARIES",
     "HUMAN_HUMAN",
     "HUMAN_MODEL",
@@ -620,9 +565,7 @@ __all__ = [
     "build_consensus",
     "consensus_clusters",
     "score_model",
-    "f1_score",
     "distribution_weighted",
     "decompose_novel_aligned",
-    "paper_match_data",
     "bootstrap_match_eval",
 ]

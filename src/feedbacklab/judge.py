@@ -544,6 +544,8 @@ class HttpBackend:
         data = json.dumps(payload).encode("utf-8")
         last_error = ""
         for attempt in range(MAX_HTTP_ATTEMPTS):
+            if attempt:  # back off only before another attempt
+                self._sleep(BACKOFF_BASE_SECONDS * 2 ** (attempt - 1))
             self._limiter(endpoint).acquire()
             request = Request(
                 url, data=data, headers=self._headers(endpoint), method="POST"
@@ -558,11 +560,9 @@ class HttpBackend:
             # garbled; it is not an OSError.
             except (OSError, HTTPException) as exc:
                 last_error = str(exc)
-                self._sleep(BACKOFF_BASE_SECONDS * 2**attempt)
                 continue
             if status in RETRYABLE_STATUS:
                 last_error = f"HTTP {status}"
-                self._sleep(BACKOFF_BASE_SECONDS * 2**attempt)
                 continue
             if status != 200:
                 raise JudgeError(f"HTTP {status} from {url}")

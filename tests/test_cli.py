@@ -1244,8 +1244,36 @@ COMMAND_INPUTS = [
     ("success-eval", "model.jsonl"),
     ("consensus-eval", "model.jsonl"),
     ("parse", "annotations.jsonl"),
-    ("ingest", "test.jsonl"),
+    *(
+        (command, "test.jsonl")
+        for command in (
+            "ingest",
+            "parse",
+            "forge-sft",
+            "forge-dpo",
+            "consensus-eval",
+            "success-eval",
+        )
+    ),
 ]
+# The null tag is a corpus fault only: an annotation's validity may be null.
+CORPUS_INPUTS = [(c, name) for c, name in COMMAND_INPUTS if name == "test.jsonl"]
+
+
+def missing(path):
+    path.unlink()
+    return f".*file not found: {re.escape(str(path))}"
+
+
+def not_json(path):
+    path.write_text("not json\n")
+    return f"{re.escape(str(path))}:1: malformed [a-z ]+: Expecting value: .*"
+
+
+def null_tag(path):
+    record = json.loads(path.read_text())
+    path.write_text(canonical_json({**record, "decision": None}) + "\n")
+    return f"{re.escape(str(path))}:1: malformed record: None is not a valid Decision"
 
 
 def assert_bad_input_is_one_error_line(
@@ -1287,16 +1315,12 @@ def assert_bad_input_is_one_error_line(
     assert list(runs.rglob("cache/*.bin")) == []
 
 
-@pytest.mark.parametrize("command, missing", COMMAND_INPUTS)
+@pytest.mark.parametrize("command, name", COMMAND_INPUTS)
 def test_missing_input_file_is_one_error_line(
-    tmp_path, capsys, monkeypatch, command, missing
+    tmp_path, capsys, monkeypatch, command, name
 ):
-    def remove(path):
-        path.unlink()
-        return f".*file not found: {re.escape(str(path))}"
-
     assert_bad_input_is_one_error_line(
-        tmp_path, capsys, monkeypatch, command, missing, remove
+        tmp_path, capsys, monkeypatch, command, name, missing
     )
 
 
@@ -1304,12 +1328,17 @@ def test_missing_input_file_is_one_error_line(
 def test_non_json_input_line_is_one_error_line(
     tmp_path, capsys, monkeypatch, command, name
 ):
-    def garble(path):
-        path.write_text("not json\n")
-        return f"{re.escape(str(path))}:1: malformed [a-z ]+: Expecting value: .*"
-
     assert_bad_input_is_one_error_line(
-        tmp_path, capsys, monkeypatch, command, name, garble
+        tmp_path, capsys, monkeypatch, command, name, not_json
+    )
+
+
+@pytest.mark.parametrize("command, name", CORPUS_INPUTS)
+def test_null_enum_tag_is_one_error_line(
+    tmp_path, capsys, monkeypatch, command, name
+):
+    assert_bad_input_is_one_error_line(
+        tmp_path, capsys, monkeypatch, command, name, null_tag
     )
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feedbacklab.consensus import (
     DEFAULT_BOUNDARIES,
@@ -7,7 +9,6 @@ from feedbacklab.consensus import (
     HUMAN_MODEL,
     ConsensusSet,
     MatchEdge,
-    PaperMatchData,
     StratumRow,
     StratumTable,
     bootstrap_match_eval,
@@ -17,7 +18,6 @@ from feedbacklab.consensus import (
     consensus_clusters,
     decompose_novel_aligned,
     distribution_weighted,
-    paper_match_data,
     prefilter_pairs,
     score_model,
     stratum_bounds,
@@ -31,6 +31,7 @@ from feedbacklab.core import (
     Validity,
 )
 from feedbacklab.errors import ConfigError, PipelineError
+from feedbacklab.stats import ci_summary, draw_without_replacement, keyed_rng
 
 
 def unit(uid, reviewer="r1", successful=True, source=Source.HUMAN, aspects=()):
@@ -271,6 +272,9 @@ def golden_edges_hm():
 def test_score_model_golden():
     consensus = ConsensusSet(paper_id="p1", members={"h1", "h3", "h5"})
     score = score_model(consensus, ["l1", "l2", "l3", "l4"], golden_edges_hm())
+    assert score.paper_id == "p1" and score.consensus_size == 3
+    assert score.model_unit_ids == ("l1", "l2", "l3", "l4")
+    assert score.member_matches == {"h1": ("l3",), "h5": ("l3",)}
     assert score.matched_model_units == frozenset({"l3"})
     assert score.matched_consensus_units == frozenset({"h1", "h5"})
     assert score.precision == 0.25
@@ -465,35 +469,32 @@ def test_decompose_requires_labels():
 # ---- bootstrap ----
 
 
-def golden_paper_data():
+def golden_score():
     consensus = ConsensusSet(paper_id="p1", members={"h1", "h3", "h5"})
-    return paper_match_data(
-        consensus, ["l1", "l2", "l3", "l4"], golden_edges_hm()
+    return score_model(consensus, ["l1", "l2", "l3", "l4"], golden_edges_hm())
+
+
+def scored(paper_id, n_model, member_matches, members=()):
+    """score_model's record for model units m0..m{n_model-1} against a
+    consensus of `members` plus the keys of member_matches, each key
+    truly matching the model units it maps to."""
+    edges = [
+        edge(member, uid, judged=True, pair_type=HUMAN_MODEL)
+        for member, uids in member_matches.items()
+        for uid in uids
+    ]
+    consensus = ConsensusSet(
+        paper_id=paper_id, members={*members, *member_matches}
     )
+    return score_model(consensus, [f"m{i}" for i in range(n_model)], edges)
 
 
-def test_paper_match_data_golden():
-    data = golden_paper_data()
-    assert data.consensus_size == 3
-    assert data.member_matches == {"h1": ("l3",), "h5": ("l3",)}
-    with pytest.raises(PipelineError, match="nonempty consensus"):
-        PaperMatchData(
-            paper_id="p",
-            consensus_size=0,
-            model_unit_ids=("l1",),
-            member_matches={},
-        )
-    with pytest.raises(PipelineError, match="no model units"):
-        PaperMatchData(
-            paper_id="p",
-            consensus_size=1,
-            model_unit_ids=(),
-            member_matches={},
-        )
+def other_score():
+    return scored("p2", 8, {"c1": ("m0", "m3"), "c2": ("m5",)})
 
 
 def test_bootstrap_full_coverage_draws_are_degenerate():
-    out = bootstrap_match_eval([golden_paper_data()], k=5, iterations=50, seed=0)
+    out = bootstrap_match_eval([golden_score()], k=5, iterations=50, seed=0)
     assert out["aggregation"] == "micro" and out["papers"] == 1
     for name, expected in (
         ("precision", 0.25),
@@ -509,13 +510,7 @@ def test_bootstrap_full_coverage_draws_are_degenerate():
 
 
 def test_bootstrap_deterministic_and_order_invariant():
-    other = PaperMatchData(
-        paper_id="p2",
-        consensus_size=2,
-        model_unit_ids=tuple(f"m{i}" for i in range(8)),
-        member_matches={"c1": ("m0", "m3"), "c2": ("m5",)},
-    )
-    papers = [golden_paper_data(), other]
+    papers = [golden_score(), other_score()]
     a = bootstrap_match_eval(papers, k=3, iterations=200, seed=9)
     b = bootstrap_match_eval(papers, k=3, iterations=200, seed=9)
     assert a == b
@@ -528,13 +523,7 @@ def test_bootstrap_deterministic_and_order_invariant():
 def test_bootstrap_golden_values():
     # Pins the per-paper streams: values recorded from the original
     # sha256-seeded implementation.
-    other = PaperMatchData(
-        paper_id="p2",
-        consensus_size=2,
-        model_unit_ids=tuple(f"m{i}" for i in range(8)),
-        member_matches={"c1": ("m0", "m3"), "c2": ("m5",)},
-    )
-    papers = [golden_paper_data(), other]
+    papers = [golden_score(), other_score()]
     micro = bootstrap_match_eval(papers, k=3, iterations=50, seed=9)
     macro = bootstrap_match_eval(papers, k=3, iterations=50, seed=9, macro=True)
     precision = {
@@ -581,18 +570,8 @@ def test_bootstrap_golden_values():
 
 
 def test_bootstrap_micro_vs_macro():
-    big = PaperMatchData(
-        paper_id="big",
-        consensus_size=10,
-        model_unit_ids=tuple(f"m{i}" for i in range(4)),
-        member_matches={f"c{j}": ("m0",) for j in range(10)},
-    )
-    small = PaperMatchData(
-        paper_id="small",
-        consensus_size=1,
-        model_unit_ids=("x0",),
-        member_matches={},
-    )
+    big = scored("big", 4, {f"c{j}": ("m0",) for j in range(10)})
+    small = scored("small", 1, {}, members=("s0",))
     micro = bootstrap_match_eval([big, small], k=5, iterations=10, seed=0)
     macro = bootstrap_match_eval([big, small], k=5, iterations=10, seed=0,
                                  macro=True)
@@ -606,30 +585,87 @@ def test_bootstrap_validation():
     with pytest.raises(PipelineError, match="no papers"):
         bootstrap_match_eval([], k=5)
     with pytest.raises(PipelineError, match="iterations"):
-        bootstrap_match_eval([golden_paper_data()], iterations=1)
-    bad = PaperMatchData(
-        paper_id="p",
-        consensus_size=1,
-        model_unit_ids=("l1",),
-        member_matches={"c": ("ghost",)},
-    )
-    with pytest.raises(PipelineError, match="not in"):
-        bootstrap_match_eval([bad])
+        bootstrap_match_eval([golden_score()], iterations=1)
 
 
 def test_bootstrap_subsampling_stays_in_range():
-    data = PaperMatchData(
-        paper_id="p",
-        consensus_size=4,
-        model_unit_ids=tuple(f"m{i}" for i in range(9)),
-        member_matches={
-            "c1": ("m0", "m1"),
-            "c2": ("m2",),
-            "c3": ("m3", "m4", "m5"),
-        },
+    data = scored(
+        "p",
+        9,
+        {"c1": ("m0", "m1"), "c2": ("m2",), "c3": ("m3", "m4", "m5")},
+        members=("c4",),
     )
     out = bootstrap_match_eval([data], k=4, iterations=500, seed=1)
     for name in ("precision", "recall", "f1"):
         stats = out[name]
         assert 0.0 <= stats["ci_lower"] <= stats["mean"] <= stats["ci_upper"] <= 1.0
         assert stats["ci_half_width"] > 0.0  # genuine subsampling variance
+
+
+@st.composite
+def match_inputs(draw, paper_id):
+    """score_model's inputs for one paper: a consensus, a model unit
+    list in random order, and edges between them, true, false or absent
+    for each pair, with either endpoint on the left."""
+    members = [f"h{j}" for j in range(draw(st.integers(1, 4)))]
+    n_model = draw(st.integers(1, 6))
+    model = draw(st.permutations([f"l{i}" for i in range(n_model)]))
+    edges = []
+    for member in members:
+        for uid in model:
+            judged = draw(st.sampled_from([None, True, False]))
+            if judged is not None:
+                ends = (member, uid) if draw(st.booleans()) else (uid, member)
+                edges.append(edge(*ends, judged=judged, pair_type=HUMAN_MODEL))
+    return ConsensusSet(paper_id=paper_id, members=members), model, edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    papers=st.integers(1, 3).flatmap(
+        lambda n: st.tuples(*(match_inputs(f"p{i}") for i in range(n)))
+    ),
+    k=st.integers(1, 7),
+    iterations=st.integers(2, 12),
+    seed=st.integers(0, 2**32),
+    macro=st.booleans(),
+)
+def test_bootstrap_draws_are_score_model_on_each_drawn_subset(
+    papers, k, iterations, seed, macro
+):
+    # Replays each paper's draws and scores every drawn subset with
+    # score_model, so the per_paper rule and the match_metrics rule are
+    # one rule: pooled (micro) or averaged per paper (macro).
+    out = bootstrap_match_eval(
+        [score_model(*paper) for paper in papers],
+        k=k,
+        iterations=iterations,
+        seed=seed,
+        macro=macro,
+    )
+    drawn = [
+        [
+            score_model(consensus, [model[i] for i in row], edges)
+            for row in draw_without_replacement(
+                keyed_rng(seed, consensus.paper_id), iterations, len(model), k
+            )
+        ]
+        for consensus, model, edges in papers
+    ]
+    draws = {"precision": [], "recall": [], "f1": []}
+    for scores in zip(*drawn):  # one iteration, every paper
+        if macro:
+            for name in draws:
+                draws[name].append(np.mean([getattr(s, name) for s in scores]))
+            continue
+        p = sum(len(s.matched_model_units) for s in scores) / sum(
+            len(s.model_unit_ids) for s in scores
+        )
+        r = sum(len(s.matched_consensus_units) for s in scores) / sum(
+            s.consensus_size for s in scores
+        )
+        draws["precision"].append(p)
+        draws["recall"].append(r)
+        draws["f1"].append(2 * p * r / (p + r) if p + r else 0.0)
+    for name, values in draws.items():
+        assert out[name] == ci_summary(np.array(values)), name

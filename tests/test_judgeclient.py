@@ -1695,11 +1695,13 @@ def test_http_backend_retries_a_refused_connection(monkeypatch):
     naps = []
     endpoint = EndpointConfig(base_url=f"http://127.0.0.1:{port}/v1")
     with no_resource_warnings():
-        with pytest.raises(JudgeError, match=r"gave up .* \(.*Connection refused"):
+        with pytest.raises(
+            JudgeError, match=r"gave up .* after 5 attempts \(.*Connection refused"
+        ):
             HttpBackend(sleeper=naps.append).complete(
                 endpoint, PAIR_MATCH, bindings(), "s", "u"
             )
-    assert len(naps) == 5  # one backoff per failed attempt
+    assert naps == [0.5, 1.0, 2.0, 4.0]  # one backoff between attempts
 
 
 def test_http_backend_no_retry_on_400(monkeypatch):
