@@ -200,8 +200,15 @@ class AnnotationRecord(Record):
                 f"annotation for {self.unit_id} by {self.annotator_id} "
                 "carries no label"
             )
+        # Otherwise a label of "0" would count as a match, and a likert
+        # true (bool is an int) as a 1.
+        if self.match_label is not None and not isinstance(self.match_label, bool):
+            raise IngestError(
+                f"annotation for {self.unit_id}: match_label "
+                f"{self.match_label!r} is not a boolean"
+            )
         for dim, value in self.likert.items():
-            if not isinstance(value, int) or not 1 <= value <= 5:
+            if type(value) is not int or not 1 <= value <= 5:
                 raise IngestError(
                     f"annotation for {self.unit_id}: likert {dim}={value!r} "
                     "outside 1..5"

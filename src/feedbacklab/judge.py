@@ -56,13 +56,17 @@ MAX_EMBED_BATCH = 256
 # SEGMENT_MAGIC, the record count and the crc32 of its entry table; each
 # entry is a raw sha256 cache key, its record's byte length and the
 # record's crc32. An older layout fails the magic, and is deleted.
-SEGMENT_MAGIC = b"FLC\x03"
+SEGMENT_MAGIC = b"FLC\x04"
 _SEGMENT_HEAD = struct.Struct("<4sII")
 _SEGMENT_ENTRY = struct.Struct("<32sII")
-# Embedding records are raw little-endian float32 rows, the precision
-# embedding endpoints serve; embed() widens them to float64. numpy is
-# imported only in the functions that handle vectors, so commands that
-# never embed start without it.
+# Embedding rows are little-endian float32, the precision embedding
+# endpoints serve; embed() widens them to float64. A row's record is the
+# byte of each value that holds its sign and exponent (byte 3), as a raw
+# Huffman-only DEFLATE stream (RFC 1951), then the other three bytes of
+# each value, in value order, as they are. Embeddings use few exponents,
+# so the coded plane takes about 0.4 of its bytes, while the low bytes
+# would not shrink. numpy is imported only in the functions that handle
+# vectors, so commands that never embed start without it.
 SEGMENT_DTYPE = "<f4"
 # Completion records are zlib streams at this level, each compressed
 # against its own prompt as a preset dictionary (RFC 1950's FDICT), since
@@ -686,6 +690,54 @@ def _inflate(record: bytes, prompt: bytes) -> bytes:
     return data
 
 
+def _pack_row(row: bytes) -> bytes:
+    """The embedding record of a little-endian float32 row (see
+    SEGMENT_DTYPE). Z_HUFFMAN_ONLY matches no strings, so a 9-bit window
+    is enough, and memLevel 6 still codes a plane of up to 4,094 values
+    as one block, the same bytes as the default 8. Both keep the coder's
+    set-up small: it costs more than coding a plane."""
+    codec = zlib.compressobj(1, zlib.DEFLATED, -9, 6, zlib.Z_HUFFMAN_ONLY)
+    lows = bytearray(row)
+    del lows[3::4]
+    return codec.compress(row[3::4]) + codec.flush() + lows
+
+
+def _unpack_rows(records: Sequence[bytes]) -> list[np.ndarray | None]:
+    """_pack_row reversed, as float32 views of one array that a single
+    pass puts together. A record is None unless its stream ends and
+    exactly three low bytes per byte the stream decodes to follow it."""
+    import numpy as np
+
+    planes: list[bytes] = []
+    lows: list[bytes] = []
+    sizes: list[int | None] = []
+    for record in records:
+        codec = zlib.decompressobj(-9)
+        try:
+            plane = codec.decompress(record)
+        except zlib.error:
+            plane = None
+        if plane is not None and codec.eof and len(codec.unused_data) == 3 * len(plane):
+            planes.append(plane)
+            lows.append(codec.unused_data)
+            sizes.append(len(plane))
+        else:
+            sizes.append(None)
+    values = np.empty(sum(map(len, planes)), [("low", "V3"), ("high", "u1")])
+    values["high"] = np.frombuffer(b"".join(planes), np.uint8)
+    values["low"] = np.frombuffer(b"".join(lows), "V3")
+    flat = values.view(SEGMENT_DTYPE)
+    unpacked: list[np.ndarray | None] = []
+    offset = 0
+    for size in sizes:
+        if size is None:
+            unpacked.append(None)
+        else:
+            unpacked.append(flat[offset : offset + size])
+            offset += size
+    return unpacked
+
+
 def _off_cpu_clock() -> float:
     """Wall time less this thread's CPU time: it advances only while the
     thread is off the CPU (sleeping, blocked on I/O, or preempted)."""
@@ -795,13 +847,14 @@ class JudgeClient:
     # count and the crc32 of the entry table, then the table (each raw
     # sha256 key, with its record's byte length and crc32), then the
     # records back to back. Embedding segments (emb-, one per embed() call
-    # that missed) hold one raw SEGMENT_DTYPE row per key; embed() rounds
-    # fresh vectors through SEGMENT_DTYPE too, so a hit returns a miss's
-    # vector bit for bit. Completion segments (cmp-, written by map() and
-    # complete()) hold one zlib stream per key, compressed against the
-    # prompt the key hashes: the reply's usage as a canonical-JSON line,
-    # then the reply's UTF-8 bytes. Only the tables are kept in memory;
-    # records are read from disk, and checked, on each hit.
+    # that missed) hold one SEGMENT_DTYPE row per key, packed by
+    # _pack_row; embed() rounds fresh vectors through SEGMENT_DTYPE too,
+    # so a hit returns a miss's vector bit for bit. Completion segments
+    # (cmp-, written by map() and complete()) hold one zlib stream per
+    # key, compressed against the prompt the key hashes: the reply's usage
+    # as a canonical-JSON line, then the reply's UTF-8 bytes. Only the
+    # tables are kept in memory; records are read from disk, and checked,
+    # on each hit.
 
     def _cache_key(
         self,
@@ -1151,11 +1204,12 @@ class JudgeClient:
         """L2-normalized embedding per text, cached per (model, text).
 
         Texts cached by any earlier call are read from their segments (a
-        row that fails its crc32 tears its segment, whose texts miss);
-        the others go to the backend in one call, each distinct text
-        once, and are written as one new segment. Every vector is the
-        backend's rounded to SEGMENT_DTYPE (float32) and widened back to
-        float64, so a miss and a later hit return the same array.
+        record that fails its crc32, or does not decode to a row, tears
+        its segment, whose texts miss); the others go to the backend in
+        one call, each distinct text once, and are written as one new
+        segment. Every vector is the backend's rounded to SEGMENT_DTYPE
+        (float32) and widened back to float64, so a miss and a later hit
+        return the same array.
         """
         import numpy as np
 
@@ -1168,9 +1222,17 @@ class JudgeClient:
         with self._lock:
             index = self._segment_index()
             found = {k: index[k] for k in keys if k in index}
+        records = self._read_records(found)
+        rows = dict(zip(records, _unpack_rows(list(records.values()))))
+        # A whole record that is not a row tears its segment, as a failed
+        # crc32 does, and all the segment's texts miss.
+        torn = {found[key][0]: key for key, row in rows.items() if row is None}
+        for key in torn.values():
+            self._tear(key, found[key])
         vectors = {
-            key: np.frombuffer(record, SEGMENT_DTYPE).astype(float)
-            for key, record in self._read_records(found).items()
+            key: row.astype(float)
+            for key, row in rows.items()
+            if found[key][0] not in torn
         }
         text_of = {k: t for k, t in zip(keys, texts) if k not in vectors}
         misses = list(text_of)
@@ -1186,6 +1248,10 @@ class JudgeClient:
             raise JudgeError(f"embedding dimension mismatch in batch: {dims}")
         if misses:
             self._write_segment(
-                "emb", [(k, vectors[k].astype(SEGMENT_DTYPE).tobytes()) for k in misses]
+                "emb",
+                [
+                    (k, _pack_row(vectors[k].astype(SEGMENT_DTYPE).tobytes()))
+                    for k in misses
+                ],
             )
         return [vectors[k] for k in keys]

@@ -1,26 +1,29 @@
 """The judge cache's segment layout, stated apart from the code that
 writes it, for tests that read segments or plant them.
 
-A segment is b"FLC\\x03", the record count and the crc32 of the entry
+A segment is b"FLC\\x04", the record count and the crc32 of the entry
 table (little-endian u32s), then the table, one entry per record (the
 raw 32-byte sha256 key, the record's byte length and its crc32), then
-the records back to back.
+the records back to back. An embedding record packs a little-endian
+float32 row of d values: a raw DEFLATE stream of the row's d
+sign/exponent bytes (byte 3 of each value), then its 3·d low bytes, in
+value order. b"FLC\\x03" segments, the layout before, held raw rows.
 """
 
 import struct
 import zlib
 from pathlib import Path
 
-MAGIC = b"FLC\x03"
+MAGIC = b"FLC\x04"
 HEAD = struct.Struct("<4sII")
 ENTRY = struct.Struct("<32sII")
 
 
-def segment_bytes(records):
+def segment_bytes(records, magic=MAGIC):
     """A segment holding (key, record) pairs, in order."""
     table = b"".join(ENTRY.pack(k, len(r), zlib.crc32(r)) for k, r in records)
     return (
-        HEAD.pack(MAGIC, len(records), zlib.crc32(table))
+        HEAD.pack(magic, len(records), zlib.crc32(table))
         + table
         + b"".join(r for _, r in records)
     )

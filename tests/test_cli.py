@@ -1043,6 +1043,48 @@ def test_consensus_eval_same_bytes_at_any_concurrency(tmp_path):
     )
 
 
+def assert_same_bytes_at_any_hash_seed(tmp_path, command, cfg, *extra):
+    """Cold runs of command in fresh interpreters under PYTHONHASHSEED 0
+    and 12345 leave the same run directory, cache included, and print
+    the same output. Both use one runs root, since paths enter the
+    config's hash; each run directory is moved aside before the next."""
+    paths = [str(Path(feedbacklab.__file__).parents[1])]
+    paths += filter(None, [os.environ.get("PYTHONPATH")])
+    runs = {}
+    for seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        env["PYTHONHASHSEED"] = seed
+        result = subprocess.run(
+            [sys.executable, "-m", "feedbacklab.cli", command, "--config", cfg, *extra],
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        run_dir = only_run_dir(tmp_path / "runs")
+        runs[seed] = (result.stdout, result.stderr, run_dir.name, snapshot(run_dir))
+        shutil.move(run_dir, tmp_path / f"hash-seed-{seed}")
+    assert runs["0"] == runs["12345"]
+    assert any(name.startswith("cache/emb-") for name in runs["0"][3])
+
+
+def test_consensus_eval_same_bytes_at_any_hash_seed(tmp_path):
+    assert_same_bytes_at_any_hash_seed(
+        tmp_path,
+        "consensus-eval",
+        FIXTURE_CONFIG,
+        "--set",
+        f"paths.runs_root={tmp_path / 'runs'}",
+    )
+
+
+def test_forge_dpo_same_bytes_at_any_hash_seed(tmp_path):
+    cfg = forge_dpo_setup(tmp_path)
+    assert_same_bytes_at_any_hash_seed(
+        tmp_path, "forge-dpo", cfg, "--set", "sampling.max_corruption_units_per_paper=7"
+    )
+
+
 def success_eval_fan_out_setup(tmp_path):
     """Three papers of five model units each; point 3 fails quality and
     point 1 is predicted rebutted."""
@@ -1258,6 +1300,9 @@ COMMAND_INPUTS = [
 ]
 # The null tag is a corpus fault only: an annotation's validity may be null.
 CORPUS_INPUTS = [(c, name) for c, name in COMMAND_INPUTS if name == "test.jsonl"]
+ANNOTATION_INPUTS = [
+    (c, name) for c, name in COMMAND_INPUTS if name == "annotations.jsonl"
+]
 
 
 def missing(path):
@@ -1274,6 +1319,15 @@ def null_tag(path):
     record = json.loads(path.read_text())
     path.write_text(canonical_json({**record, "decision": None}) + "\n")
     return f"{re.escape(str(path))}:1: malformed record: None is not a valid Decision"
+
+
+def string_match_label(path):
+    record = json.loads(path.read_text().splitlines()[0])
+    path.write_text(canonical_json({**record, "match_label": "0"}) + "\n")
+    return (
+        f"{re.escape(str(path))}:1: malformed annotation: annotation for "
+        f"{re.escape(record['unit_id'])}: match_label '0' is not a boolean"
+    )
 
 
 def assert_bad_input_is_one_error_line(
@@ -1339,6 +1393,15 @@ def test_null_enum_tag_is_one_error_line(
 ):
     assert_bad_input_is_one_error_line(
         tmp_path, capsys, monkeypatch, command, name, null_tag
+    )
+
+
+@pytest.mark.parametrize("command, name", ANNOTATION_INPUTS)
+def test_string_match_label_is_one_error_line(
+    tmp_path, capsys, monkeypatch, command, name
+):
+    assert_bad_input_is_one_error_line(
+        tmp_path, capsys, monkeypatch, command, name, string_match_label
     )
 
 

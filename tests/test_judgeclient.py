@@ -9,6 +9,7 @@ import os
 import re
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import tempfile
@@ -39,7 +40,6 @@ from feedbacklab.judge import (
     EndpointConfig,
     HttpBackend,
     MAX_EMBED_BATCH,
-    SEGMENT_DTYPE,
     JudgeClient,
     PromptTemplate,
     RateLimiter,
@@ -917,9 +917,10 @@ def test_torn_segment_is_a_miss_and_is_rewritten(tmp_path, caplog, torn):
     first = JudgeClient(backend, cache_dir=tmp_path).embed(ENDPOINT, ["x", "y"])
     (segment,) = tmp_path.iterdir()
     whole = segment.read_bytes()
-    header_len = table_size(whole)
-    row = 8 * np.dtype(SEGMENT_DTYPE).itemsize  # embedding_dim 8
-    cut = header_len // 2 if torn == "mid-header" else header_len + row + 3
+    if torn == "mid-header":
+        cut = table_size(whole) // 2
+    else:  # three bytes into the second record
+        cut = record_spans(whole)[1][0] + 3
     segment.write_bytes(whole[:cut])
 
     with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):
@@ -950,6 +951,26 @@ def old_embedding_segment(cache_dir, texts, dtype):
     return segment
 
 
+def embedding_key(text):
+    return hashlib.sha256(
+        judge_module._embedding_key_material(ENDPOINT.model_name, text)
+    ).digest()
+
+
+def float32_rows(texts):
+    """The stub's vectors for texts, as raw little-endian float32 bytes."""
+    return [v.astype("<f4").tobytes() for v in RecordingStub().embed(ENDPOINT, texts)]
+
+
+def raw_row_segment(cache_dir, texts, magic):
+    """A segment of raw float32 rows for texts, each with a valid crc32,
+    under the given magic; named as embed() names its segments."""
+    keys = [embedding_key(t) for t in texts]
+    segment = cache_dir / f"emb-{hashlib.sha256(b''.join(keys)).hexdigest()}.bin"
+    segment.write_bytes(segment_bytes(list(zip(keys, float32_rows(texts))), magic))
+    return segment
+
+
 def test_float64_segment_of_an_older_version_is_a_miss_and_heals(
     tmp_path, caplog
 ):
@@ -959,11 +980,13 @@ def test_float64_segment_of_an_older_version_is_a_miss_and_heals(
     (fresh,) = fresh_dir.iterdir()
     cache_dir = tmp_path / "old"
     cache_dir.mkdir()
-    # float64 rows, then the float32 rows of the version after it
+    # float64 rows, then the float32 rows of the version after it, then
+    # the raw float32 rows of the first binary table
     old = sorted(
         [
             old_embedding_segment(cache_dir, texts, "<f8"),
             old_embedding_segment(cache_dir, texts[1:], "<f4"),
+            raw_row_segment(cache_dir, texts[:2], b"FLC\x03"),
         ]
     )
 
@@ -972,8 +995,8 @@ def test_float64_segment_of_an_older_version_is_a_miss_and_heals(
         healed = JudgeClient(backend, cache_dir=cache_dir).embed(ENDPOINT, texts)
     warnings = [r.getMessage() for r in caplog.records]
     assert warnings == [
-        "judge cache: 2 unreadable segment(s) deleted, treated as misses: "
-        f"unreadable entry {old[0].name}, unreadable entry {old[1].name}"
+        "judge cache: 3 unreadable segment(s) deleted, treated as misses: "
+        + ", ".join(f"unreadable entry {segment.name}" for segment in old)
     ]
     assert backend.calls == [texts]  # one fetch per record
     assert list(cache_dir.iterdir()) == [cache_dir / fresh.name]
@@ -985,6 +1008,79 @@ def test_float64_segment_of_an_older_version_is_a_miss_and_heals(
     assert caplog.records == []
     assert backend.calls == [texts]
     assert all(np.array_equal(a, b) for a, b in zip(healed, again, strict=True))
+
+
+def test_raw_row_under_the_current_magic_tears_its_segment(tmp_path):
+    # A raw float32 row passes its crc32 but does not decode: its segment
+    # tears, with one warning, and every text in it is embedded again.
+    texts = ["x", "y"]
+    fresh_dir = tmp_path / "fresh"
+    JudgeClient(RecordingStub(), cache_dir=fresh_dir).embed(ENDPOINT, texts)
+    (fresh,) = fresh_dir.iterdir()
+    x, (key, _) = read_segment(fresh)
+    raw = float32_rows(["y"])[0]
+    cache_dir = tmp_path / "planted"
+    cache_dir.mkdir()
+    segment = cache_dir / fresh.name
+    segment.write_bytes(segment_bytes([x, (key, raw)]))
+
+    backend = RecordingStub()
+    with Warnings() as warnings:
+        healed = JudgeClient(backend, cache_dir=cache_dir).embed(ENDPOINT, texts)
+    assert warnings == [
+        f"judge cache: unreadable entry {segment.name}, treated as a miss"
+    ]
+    assert backend.calls == [texts]
+    assert list(cache_dir.iterdir()) == [segment]
+    assert segment.read_bytes() == fresh.read_bytes()
+    with Warnings() as warnings:
+        again = JudgeClient(backend, cache_dir=cache_dir).embed(ENDPOINT, texts)
+    assert warnings == [] and backend.calls == [texts]
+    assert all(np.array_equal(a, b) for a, b in zip(healed, again, strict=True))
+
+
+# Bit patterns of float32 values that arithmetic rarely makes: zeros,
+# infinities, quiet and signalling NaNs with payloads, subnormals.
+SPECIAL_FLOAT32_BITS = [
+    0x00000000,
+    0x80000000,
+    0x7F800000,
+    0xFF800000,
+    0x7FC00000,
+    0xFFC00001,
+    0x7F800001,
+    0xFFBFFFFF,
+    0x00000001,
+    0x807FFFFF,
+    0x00400000,
+]
+float32_bits = st.sampled_from(SPECIAL_FLOAT32_BITS) | st.integers(0, 2**32 - 1)
+raw_rows = st.lists(float32_bits, min_size=1, max_size=300).map(
+    lambda bits: struct.pack(f"<{len(bits)}I", *bits)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(raw_rows, min_size=1, max_size=5))
+@example([struct.pack("<11I", *SPECIAL_FLOAT32_BITS)])
+@example([b"\0\0\x80\x3f" * 1024])
+def test_packed_rows_give_back_their_bytes(rows):
+    unpacked = judge_module._unpack_rows([judge_module._pack_row(r) for r in rows])
+    assert [u.dtype for u in unpacked] == [np.dtype("<f4")] * len(rows)
+    assert [u.tobytes() for u in unpacked] == rows
+
+
+def test_record_that_is_not_a_packed_row_decodes_as_a_miss():
+    pack, unpack = judge_module._pack_row, judge_module._unpack_rows
+    rows = float32_rows(["x", "y"])
+    packed = [pack(r) for r in rows]
+    cut_short = [packed[0][:end] for end in range(len(packed[0]))]
+    trailing = packed[0] + b"\0"
+    bad = [*cut_short, trailing, rows[0], rows[1]]
+    # each bad record is None, and the good ones around it are intact
+    unpacked = unpack([packed[0], *bad, packed[1]])
+    assert unpacked[1:-1] == [None] * len(bad)
+    assert [unpacked[0].tobytes(), unpacked[-1].tobytes()] == rows
 
 
 finite_coords = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)

@@ -541,6 +541,25 @@ def test_unknown_keys_are_ignored_in_nested_records_too():
     )
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [
+        {"match_label": "0"},
+        {"match_label": 1},
+        {"match_label": False, "likert": {"accuracy": True}},
+    ],
+)
+def test_annotation_labels_of_another_json_type_are_refused(labels):
+    # Both were once taken: "0" then counted as a match, and true as the
+    # likert score 1 (bool is an int). The record's own checks refuse
+    # them, so the oracle, which builds the record, refuses them too.
+    data = {"unit_id": "u1", "annotator_id": "a1", **labels}
+    with pytest.raises(PipelineError, match="match_label|likert accuracy=True"):
+        AnnotationRecord.from_dict(data)
+    with pytest.raises(PipelineError):
+        annotation_from_dict(data)
+
+
 def test_report_cells_are_formatted_once_and_read_back_equal():
     # A table formats its cells when it is built, so a report read back
     # from its dict holds the same strings as the report that wrote it.
