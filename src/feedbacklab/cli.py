@@ -20,7 +20,7 @@ import sys
 import traceback
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Sequence
 
 from .config import PipelineConfig, config_hash, load_config
 from .core import FeedbackUnit, PaperRecord, Source, canonical_json, make_unit_id
@@ -40,9 +40,12 @@ from .prompts import prompt_versions
 from .report import EvalReport, ReportTable, render_report
 
 if TYPE_CHECKING:
+    from .consensus import MatchEdge
     from .forge import TrainingManifest
+    from .ingest import AnnotationRecord
 
 RUN_ID_CHARS = 16
+Feedback = dict[str, list[FeedbackUnit]]  # model feedback units by paper id
 
 
 class RunContext:
@@ -82,16 +85,6 @@ class RunContext:
     def log(self, event: str, **data: Any) -> None:
         self.events.append({"event": event, **data})
 
-    def client(self) -> JudgeClient:
-        if self.config.mode == "stub":
-            fixture = self.config.stub_fixture_path()
-            backend = (
-                StubBackend.from_file(fixture) if fixture else StubBackend()
-            )
-        else:
-            backend = HttpBackend()
-        return JudgeClient(backend, cache_dir=self.cache_dir)
-
     def base_metadata(self) -> dict[str, Any]:
         return {
             "command": self.command,
@@ -123,9 +116,7 @@ class RunContext:
                 fh.write(render_report(report, fmt))
 
 
-def load_model_units(
-    path: Path, papers: Mapping[str, PaperRecord]
-) -> dict[str, list[FeedbackUnit]]:
+def load_model_units(path: Path, papers: Mapping[str, PaperRecord]) -> Feedback:
     """Model feedback JSONL: one unit per line.
 
     Required fields: paper_id, text. Optional: model_name (defaults to
@@ -143,7 +134,7 @@ def load_model_units(
             text=text,
         )
 
-    out: dict[str, list[FeedbackUnit]] = {}
+    out: Feedback = {}
     seen: set[str] = set()
     for lineno, unit in read_jsonl(path, parse_unit, "model feedback"):
         if unit.paper_id not in papers:
@@ -160,31 +151,51 @@ def load_model_units(
     return out
 
 
-def _load_store(ctx: RunContext) -> DatasetStore:
-    store = load_corpus(ctx.config.path("corpus_root"))
+class Input(NamedTuple):
+    """A paths.* field and its loader, called as load(ctx, path, inputs
+    loaded before it). An optional input loads as None while unset."""
+
+    key: str
+    load: Callable[[RunContext, Path, list[Any]], Any]
+    required: bool = True
+
+
+def _corpus(ctx: RunContext, path: Path, loaded: list[Any]) -> DatasetStore:
+    store = load_corpus(path)
     ctx.log("load_corpus", **store.counts())
     return store
+
+
+def _pairs(ctx: RunContext, path: Path, loaded: list[Any]) -> list[MatchEdge]:
+    from .consensus import MatchEdge  # consensus imports numpy; start-up must not
+
+    return [edge for _, edge in read_jsonl(path, MatchEdge.from_dict, "pair")]
+
+
+# The loaders look load_corpus and load_model_units up when called, so a
+# wrapper set on this module sees every call.
+CORPUS = Input("corpus_root", _corpus)
+PAIRS = Input("annotated_pairs", _pairs)
+MODEL_FEEDBACK = Input(
+    "model_feedback",
+    lambda ctx, path, loaded: load_model_units(path, loaded[0].records),
+)
+ANNOTATIONS = Input("annotations", lambda ctx, path, loaded: load_annotations(path))
 
 
 # -- commands ----------------------------------------------------------
 
 
-def cmd_ingest(ctx: RunContext) -> EvalReport:
-    store = _load_store(ctx)
+def cmd_ingest(ctx: RunContext, store: DatasetStore) -> EvalReport:
     counts = store.counts()
-    rows = [("papers", counts["papers"])]
-    rows += [
-        (f"split:{name}", n) for name, n in sorted(counts["by_split"].items())
+    papers = store.records.values()
+    rows = [
+        ("papers", counts["papers"]),
+        *((f"split:{k}", n) for k, n in sorted(counts["by_split"].items())),
+        *((f"decision:{k}", n) for k, n in sorted(counts["by_decision"].items())),
+        ("units", sum(len(p.units) for p in papers)),
+        ("successful_units", sum(len(p.successful_units()) for p in papers)),
     ]
-    rows += [
-        (f"decision:{name}", n)
-        for name, n in sorted(counts["by_decision"].items())
-    ]
-    units = sum(len(p.units) for p in store.records.values())
-    successful = sum(
-        len(p.successful_units()) for p in store.records.values()
-    )
-    rows += [("units", units), ("successful_units", successful)]
     return EvalReport(
         metadata=ctx.base_metadata(),
         tables={
@@ -194,39 +205,33 @@ def cmd_ingest(ctx: RunContext) -> EvalReport:
     )
 
 
-def cmd_parse(ctx: RunContext) -> EvalReport:
+def cmd_parse(
+    ctx: RunContext,
+    client: JudgeClient,
+    store: DatasetStore,
+    annotations: list[AnnotationRecord] | None,
+) -> EvalReport:
     from . import parse
 
-    store = _load_store(ctx)
     config = ctx.config
-    annotations_path = config.resolved_paths()["annotations"]
-    annotations = load_annotations(annotations_path) if annotations_path else None
-    client = ctx.client()
     records = store.papers(config.split)
     parsed, results = parse.parse_papers(
         client, config.endpoint("thread_parse"), records
     )
-    updated = dict(store.records)
-    for record in parsed:
-        updated[record.paper_id] = record
-    new_store = replace(store, records=updated)
-    save_corpus(new_store, ctx.artifacts / "parsed_store")
-    ctx.write_jsonl(
-        "parse_audit.jsonl", [r.to_audit_dict() for r in results]
-    )
-    ctx.log(
-        "parse",
-        papers=len(records),
-        threads=len(results),
-        units=sum(len(r.units) for r in results),
-    )
+    updated = {**store.records, **{r.paper_id: r for r in parsed}}
+    save_corpus(replace(store, records=updated), ctx.artifacts / "parsed_store")
+    ctx.write_jsonl("parse_audit.jsonl", [r.to_audit_dict() for r in results])
+    summary = {
+        "papers": len(records),
+        "threads": len(results),
+        "units": sum(len(r.units) for r in results),
+    }
+    ctx.log("parse", **summary)
     tables = {
         "parse_summary": ReportTable(
             columns=("key", "value"),
             rows=(
-                ("papers", len(records)),
-                ("threads", len(results)),
-                ("units", sum(len(r.units) for r in results)),
+                *summary.items(),
                 ("skipped_positive", sum(r.dropped_note for r in results)),
             ),
         )
@@ -236,8 +241,7 @@ def cmd_parse(ctx: RunContext) -> EvalReport:
         agreement = parse.agreement_report(annotations, reference)
         rows = []
         for kind, entry in sorted(agreement.items()):
-            inter = entry.get("inter_annotator")
-            if inter:
+            if inter := entry.get("inter_annotator"):
                 rows.append(
                     (
                         kind,
@@ -248,8 +252,7 @@ def cmd_parse(ctx: RunContext) -> EvalReport:
                         inter["n_pairs"],
                     )
                 )
-            ref = entry.get("vs_reference")
-            if ref:
+            if ref := entry.get("vs_reference"):
                 rows.append(
                     (kind, "vs_reference", ref["accuracy"], ref["pabak"], "", ref["n"])
                 )
@@ -281,24 +284,21 @@ def _manifest_report(
     )
 
 
-def cmd_forge_sft(ctx: RunContext) -> EvalReport:
+def cmd_forge_sft(ctx: RunContext, store: DatasetStore) -> EvalReport:
     from . import forge
 
-    store = _load_store(ctx)
-    manifest = forge.build_sft(
-        store, ctx.config.split, ctx.artifacts / "sft.jsonl"
-    )
+    manifest = forge.build_sft(store, ctx.config.split, ctx.artifacts / "sft.jsonl")
     manifest.write(ctx.artifacts / "sft_manifest.json")
     ctx.log("forge_sft", records=manifest.record_count)
     return _manifest_report(ctx, manifest)
 
 
-def cmd_forge_dpo(ctx: RunContext) -> EvalReport:
+def cmd_forge_dpo(
+    ctx: RunContext, client: JudgeClient, store: DatasetStore
+) -> EvalReport:
     from . import forge
 
-    store = _load_store(ctx)
     config = ctx.config
-    client = ctx.client()
     papers = store.papers(config.split)
     bank, filter_stats = forge.build_corruption_bank(
         client,
@@ -331,9 +331,7 @@ def cmd_forge_dpo(ctx: RunContext) -> EvalReport:
         ),
     )
     manifest.write(ctx.artifacts / "dpo_manifest.json")
-    ctx.write_jsonl(
-        "corruption_filter.jsonl", [s.to_dict() for s in filter_stats]
-    )
+    ctx.write_jsonl("corruption_filter.jsonl", [s.to_dict() for s in filter_stats])
     ctx.log("forge_dpo", records=manifest.record_count)
     aggregate = forge.aggregate_filter_stats(filter_stats)
     return _manifest_report(
@@ -353,18 +351,13 @@ def cmd_forge_dpo(ctx: RunContext) -> EvalReport:
     )
 
 
-def cmd_calibrate(ctx: RunContext) -> EvalReport:
+def cmd_calibrate(
+    ctx: RunContext, edges: list[MatchEdge], annotations: list[AnnotationRecord]
+) -> EvalReport:
     from . import consensus as cons
 
     config = ctx.config
-    pairs_path = config.path("annotated_pairs")
-    edges = [
-        edge for _, edge in read_jsonl(pairs_path, cons.MatchEdge.from_dict, "pair")
-    ]
-    annotations = load_annotations(config.path("annotations"))
-    by_pair = group_by_unit(
-        a for a in annotations if a.match_label is not None
-    )
+    by_pair = group_by_unit(a for a in annotations if a.match_label is not None)
     judged: list[cons.MatchEdge] = []
     for edge in edges:
         pair_id = f"{edge.left_unit_id}|{edge.right_unit_id}"
@@ -386,15 +379,8 @@ def cmd_calibrate(ctx: RunContext) -> EvalReport:
         )
         threshold_rows.append((pair_type, threshold))
         for row in table.rows:
-            rate_rows.append(
-                (
-                    pair_type,
-                    f"[{row.lower:g},{row.upper:g})",
-                    ""
-                    if row.annotated_match_rate is None
-                    else row.annotated_match_rate,
-                )
-            )
+            rate = "" if row.annotated_match_rate is None else row.annotated_match_rate
+            rate_rows.append((pair_type, f"[{row.lower:g},{row.upper:g})", rate))
         ctx.log("calibrate", pair_type=pair_type, threshold=threshold)
     if not threshold_rows:
         raise PipelineError("calibrate: no annotated pairs of any type")
@@ -413,16 +399,13 @@ def cmd_calibrate(ctx: RunContext) -> EvalReport:
     )
 
 
-def cmd_consensus_eval(ctx: RunContext) -> EvalReport:
+def cmd_consensus_eval(
+    ctx: RunContext, client: JudgeClient, store: DatasetStore, model_by_paper: Feedback
+) -> EvalReport:
     from . import consensus as cons
 
-    store = _load_store(ctx)
     config = ctx.config
     papers = store.papers(config.split)
-    model_by_paper = load_model_units(
-        config.path("model_feedback"), store.records
-    )
-    client = ctx.client()
     match_endpoint = config.endpoint("pair_match")
     embedding_endpoint = config.endpoint("embedding")
 
@@ -474,9 +457,7 @@ def cmd_consensus_eval(ctx: RunContext) -> EvalReport:
         # Cache hits: the members were embedded with their paper's units.
         member_emb = client.embed(embedding_endpoint, [u.text for u in members])
         model_units = model_by_paper[paper.paper_id]
-        model_emb = client.embed(
-            embedding_endpoint, [u.text for u in model_units]
-        )
+        model_emb = client.embed(embedding_endpoint, [u.text for u in model_units])
         edges = cons.prefilter_pairs(
             members,
             model_units,
@@ -556,19 +537,16 @@ def cmd_consensus_eval(ctx: RunContext) -> EvalReport:
         seed=config.sampling.seed,
         macro=config.flags.macro,
     )
-    metadata = ctx.base_metadata()
-    metadata.update(
-        {
+    return EvalReport(
+        metadata={
+            **ctx.base_metadata(),
             "k": aggregate["k"],
             "iterations": aggregate["iterations"],
             "aggregation": aggregate["aggregation"],
             "papers_scored": aggregate["papers"],
             "papers_excluded": len(excluded),
             "cluster_level": config.flags.cluster_level,
-        }
-    )
-    return EvalReport(
-        metadata=metadata,
+        },
         tables={
             "match_metrics": ReportTable.by_key(
                 ("metric", "mean", "ci_lower", "ci_upper", "ci_half_width"),
@@ -598,26 +576,19 @@ def cmd_consensus_eval(ctx: RunContext) -> EvalReport:
     )
 
 
-def cmd_success_eval(ctx: RunContext) -> EvalReport:
+def cmd_success_eval(
+    ctx: RunContext, client: JudgeClient, store: DatasetStore, model_by_paper: Feedback
+) -> EvalReport:
     from . import successeval
 
-    store = _load_store(ctx)
     config = ctx.config
     papers = store.papers(config.split)
-    model_by_paper = load_model_units(
-        config.path("model_feedback"), store.records
-    )
-    client = ctx.client()
     quality_endpoint = config.endpoint("quality_score")
     predictor_endpoint = config.endpoint("response_predict")
     for paper in papers:
         if paper.paper_id not in model_by_paper:
             ctx.log("skip_paper", paper_id=paper.paper_id, reason="no model feedback")
-    jobs = [
-        (paper, unit)
-        for paper in papers
-        for unit in model_by_paper.get(paper.paper_id, [])
-    ]
+    jobs = [(p, unit) for p in papers for unit in model_by_paper.get(p.paper_id, [])]
 
     def evaluate(job):
         paper, unit = job
@@ -637,9 +608,7 @@ def cmd_success_eval(ctx: RunContext) -> EvalReport:
     if not per_paper:
         raise PipelineError("success-eval: no model feedback for this split")
     all_evals = [e for evals in per_paper.values() for e in evals]
-    ctx.write_jsonl(
-        "unit_evaluations.jsonl", [e.to_dict() for e in all_evals]
-    )
+    ctx.write_jsonl("unit_evaluations.jsonl", [e.to_dict() for e in all_evals])
     quality_filter = config.flags.quality_filter_in_proxy_modes
     aggregate = successeval.bootstrap_eval(
         per_paper,
@@ -664,19 +633,16 @@ def cmd_success_eval(ctx: RunContext) -> EvalReport:
                 entry["ci_half_width"],
             )
         )
-    metadata = ctx.base_metadata()
-    metadata.update(
-        {
+    ctx.log("success_eval", papers=len(per_paper), units=len(all_evals))
+    return EvalReport(
+        metadata={
+            **ctx.base_metadata(),
             "k": aggregate["k"],
             "iterations": aggregate["iterations"],
             "quality_filter_in_proxy_modes": quality_filter,
             "papers_scored": len(per_paper),
             "units_scored": len(all_evals),
-        }
-    )
-    ctx.log("success_eval", papers=len(per_paper), units=len(all_evals))
-    return EvalReport(
-        metadata=metadata,
+        },
         tables={
             "success_rates": ReportTable(
                 columns=(
@@ -702,9 +668,7 @@ def cmd_report(ctx: RunContext) -> EvalReport:
             "with this config first"
         )
     try:
-        report = EvalReport.from_dict(
-            json.loads(stored.read_text(encoding="utf-8"))
-        )
+        report = EvalReport.from_dict(json.loads(stored.read_text(encoding="utf-8")))
     except (AttributeError, KeyError, TypeError, ValueError, PipelineError) as exc:
         # A hand edit, say; the command that wrote it rebuilds it.
         raise PipelineError(
@@ -716,27 +680,51 @@ def cmd_report(ctx: RunContext) -> EvalReport:
     return report
 
 
-_HANDLERS: dict[str, Callable[[RunContext], EvalReport]] = {
-    "ingest": cmd_ingest,
-    "parse": cmd_parse,
-    "forge-sft": cmd_forge_sft,
-    "forge-dpo": cmd_forge_dpo,
-    "calibrate": cmd_calibrate,
-    "consensus-eval": cmd_consensus_eval,
-    "success-eval": cmd_success_eval,
-    "report": cmd_report,
+class Command(NamedTuple):
+    handler: Callable[..., EvalReport]  # handler(ctx, [client,] *inputs)
+    inputs: tuple[Input, ...] = ()
+    judge: bool = False  # whether the handler takes a judge client
+
+
+COMMANDS: dict[str, Command] = {
+    "ingest": Command(cmd_ingest, (CORPUS,)),
+    "parse": Command(
+        cmd_parse, (CORPUS, Input("annotations", ANNOTATIONS.load, False)), judge=True
+    ),
+    "forge-sft": Command(cmd_forge_sft, (CORPUS,)),
+    "forge-dpo": Command(cmd_forge_dpo, (CORPUS,), judge=True),
+    "calibrate": Command(cmd_calibrate, (PAIRS, ANNOTATIONS)),
+    "consensus-eval": Command(cmd_consensus_eval, (CORPUS, MODEL_FEEDBACK), judge=True),
+    "success-eval": Command(cmd_success_eval, (CORPUS, MODEL_FEEDBACK), judge=True),
+    "report": Command(cmd_report),
 }
-COMMANDS = tuple(_HANDLERS)
 
 
 def run(command: str, config: PipelineConfig) -> EvalReport:
-    """Execute one pipeline command under its run directory."""
-    if command not in _HANDLERS:
+    """Execute one pipeline command under its run directory.
+
+    Its inputs load in the order declared, and its judge client is built
+    only once they all have, so a bad input fails before any judge call.
+    """
+    if command not in COMMANDS:
         raise ConfigError(
-            f"unknown command {command!r}; expected one of {COMMANDS}"
+            f"unknown command {command!r}; expected one of {tuple(COMMANDS)}"
         )
+    handler, inputs, judge = COMMANDS[command]
     with RunContext(config, command) as ctx:
-        report = _HANDLERS[command](ctx)
+        loaded: list[Any] = []
+        for key, load, required in inputs:
+            unset = not required and not getattr(config.paths, key)
+            loaded.append(None if unset else load(ctx, config.path(key), loaded))
+        if judge:
+            if config.mode != "stub":
+                backend = HttpBackend()
+            elif fixture := config.stub_fixture_path():
+                backend = StubBackend.from_file(fixture)
+            else:
+                backend = StubBackend()
+            loaded.insert(0, JudgeClient(backend, cache_dir=ctx.cache_dir))
+        report = handler(ctx, *loaded)
         if command != "report":
             # The report command only re-renders; it must not disturb
             # the original run's log or stored report.

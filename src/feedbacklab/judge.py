@@ -50,6 +50,7 @@ R = TypeVar("R")
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 MAX_HTTP_ATTEMPTS = 5
 BACKOFF_BASE_SECONDS = 0.5
+MAX_RETRY_AFTER_SECONDS = 60  # the longest Retry-After wait honoured
 # Texts per embeddings POST; larger batches are split and the rows joined.
 MAX_EMBED_BATCH = 256
 # Every cache segment (see JudgeClient's cache section) starts with
@@ -549,23 +550,29 @@ class HttpBackend:
         last_error = ""
         for attempt in range(MAX_HTTP_ATTEMPTS):
             if attempt:  # back off only before another attempt
-                self._sleep(BACKOFF_BASE_SECONDS * 2 ** (attempt - 1))
+                self._sleep(wait)
+            wait = BACKOFF_BASE_SECONDS * 2**attempt
             self._limiter(endpoint).acquire()
             request = Request(
                 url, data=data, headers=self._headers(endpoint), method="POST"
             )
             try:
                 with urlopen(request, timeout=120) as resp:
-                    status, body = resp.status, resp.read()
+                    status, body, headers = resp.status, resp.read(), resp.headers
             except HTTPError as exc:
                 exc.close()
-                status, body = exc.code, b""
+                status, body, headers = exc.code, b"", exc.headers
             # HTTPException covers a reply cut short (IncompleteRead) or
             # garbled; it is not an OSError.
             except (OSError, HTTPException) as exc:
                 last_error = str(exc)
                 continue
             if status in RETRYABLE_STATUS:
+                # A Retry-After in delay-seconds, capped, replaces the backoff
+                # (RFC 9110 10.2.3); an HTTP-date or a malformed value does not.
+                after = (headers.get("Retry-After") or "").strip()
+                if after.isascii() and after.isdigit():
+                    wait = min(int(after), MAX_RETRY_AFTER_SECONDS)
                 last_error = f"HTTP {status}"
                 continue
             if status != 200:

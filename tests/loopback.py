@@ -11,9 +11,11 @@ and `/embeddings` under `/v1`, in one of two ways:
 
 A `faults` schedule can answer any request with 429, 503, a body cut
 short (Content-Length promises ten times the bytes sent) or a 200 that
-is not JSON. A schedule counts attempts per request body over the
-server's life, so each run gets a server of its own. Every request is
-kept in `server.requests`, with the fault it was answered with.
+is not JSON. With `retry_after` set, each 429 and 503 fault carries it
+as its Retry-After header. A schedule counts attempts per request body
+over the server's life, so each run gets a server of its own. Every
+request is kept in `server.requests`, with the fault it was answered
+with.
 
     with judge_server(monkeypatch, stub) as server:
         ... EndpointConfig(base_url=server.url) ...
@@ -75,11 +77,12 @@ def seeded_faults(seed: int):
 class JudgeServer(ThreadingHTTPServer):
     daemon_threads = True
 
-    def __init__(self, stub, replies=(), faults=None):
+    def __init__(self, stub, replies=(), faults=None, retry_after=None):
         super().__init__(("127.0.0.1", 0), _Handler)
         self.stub = stub
         self.replies = list(replies)
         self.faults = faults
+        self.retry_after = retry_after
         self.requests: list[dict] = []
         self.attempts: dict[bytes, int] = {}
         self.lock = threading.Lock()
@@ -130,6 +133,8 @@ class _Handler(BaseHTTPRequestHandler):
             status, reply = server.answer(self.path, payload)
             data = json.dumps(reply).encode()
         self.send_response(status)
+        if fault in (429, 503) and server.retry_after is not None:
+            self.send_header("Retry-After", server.retry_after)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -161,11 +166,11 @@ def clear_proxies(monkeypatch) -> None:
 
 
 @contextlib.contextmanager
-def judge_server(monkeypatch, stub=None, *, replies=(), faults=None):
+def judge_server(monkeypatch, stub=None, *, replies=(), faults=None, retry_after=None):
     """A running JudgeServer. Proxy variables are cleared first, for the
     rest of the test."""
     clear_proxies(monkeypatch)
-    server = JudgeServer(stub or StubBackend(), replies, faults)
+    server = JudgeServer(stub or StubBackend(), replies, faults, retry_after)
     # A short poll interval keeps shutdown() quick.
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()

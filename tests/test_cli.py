@@ -345,6 +345,27 @@ def test_readme_config_example_parses(tmp_path):
     assert set(config.endpoints) == set(example["endpoints"])
 
 
+def test_readme_commands_table_matches_the_cli_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Commands\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            rows[cells[0].strip("`")] = cells[2:]
+    assert rows == {
+        name: [
+            ", ".join(
+                f"`{i.key}`" + ("" if i.required else " (optional)")
+                for i in command.inputs
+            )
+            or "none",
+            "yes" if command.judge else "no",
+        ]
+        for name, command in COMMANDS.items()
+    }
+
+
 # ---- exit codes ----
 
 
@@ -1279,24 +1300,18 @@ def test_record_checks_name_file_and_line(tmp_path, capsys):
         assert "Traceback" not in err
 
 
-# Each command with each input file it reads.
+# The file that assert_bad_input_is_one_error_line writes for each
+# paths.* input, and each command with each input it declares.
+INPUT_FILE = {
+    "corpus_root": "test.jsonl",
+    "model_feedback": "model.jsonl",
+    "annotated_pairs": "pairs.jsonl",
+    "annotations": "annotations.jsonl",
+}
 COMMAND_INPUTS = [
-    ("calibrate", "pairs.jsonl"),
-    ("calibrate", "annotations.jsonl"),
-    ("success-eval", "model.jsonl"),
-    ("consensus-eval", "model.jsonl"),
-    ("parse", "annotations.jsonl"),
-    *(
-        (command, "test.jsonl")
-        for command in (
-            "ingest",
-            "parse",
-            "forge-sft",
-            "forge-dpo",
-            "consensus-eval",
-            "success-eval",
-        )
-    ),
+    (name, INPUT_FILE[declared.key])
+    for name, command in COMMANDS.items()
+    for declared in command.inputs
 ]
 # The null tag is a corpus fault only: an annotation's validity may be null.
 CORPUS_INPUTS = [(c, name) for c, name in COMMAND_INPUTS if name == "test.jsonl"]
@@ -1335,7 +1350,9 @@ def assert_bad_input_is_one_error_line(
 ):
     """With the input file `name` spoiled by spoil(path), which returns a
     pattern for the error's message, command exits 3 with one stderr
-    line, `error: <message>`, before any judge is built or called."""
+    line, `error: <message>`, before any judge is built or called, and
+    leaves the run directory as RunContext made it: the lock and two empty
+    directories."""
     calibrate_setup(tmp_path)
     write_corpus(tmp_path / "corpus", [synth_paper("p1", [])])
     (tmp_path / "model.jsonl").write_text(
@@ -1364,9 +1381,9 @@ def assert_bad_input_is_one_error_line(
     assert main([command, "--config", cfg]) == 3
     [line] = capsys.readouterr().err.splitlines()
     assert re.fullmatch(f"error: {pattern}", line), line
-    runs = tmp_path / "runs"
-    assert list(runs.rglob("parsed_store")) == []
-    assert list(runs.rglob("cache/*.bin")) == []
+    run_dir = only_run_dir(tmp_path / "runs")
+    left = sorted(str(p.relative_to(run_dir)) for p in run_dir.rglob("*"))
+    assert left == ["artifacts", "cache", "lock"]
 
 
 @pytest.mark.parametrize("command, name", COMMAND_INPUTS)

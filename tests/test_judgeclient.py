@@ -1800,6 +1800,44 @@ def test_http_backend_retries_a_refused_connection(monkeypatch):
     assert naps == [0.5, 1.0, 2.0, 4.0]  # one backoff between attempts
 
 
+BACKOFFS = [0.5, 1.0, 2.0]
+CAP = judge_module.MAX_RETRY_AFTER_SECONDS
+
+
+@pytest.mark.parametrize(
+    "retry_after, naps",
+    [
+        ("3", [3, 1.0, 3]),
+        ("0", [0, 1.0, 0]),
+        ("86400", [CAP, 1.0, CAP]),
+        ("Wed, 21 Oct 2026 07:28:00 GMT", BACKOFFS),
+        ("1.5", BACKOFFS),
+        ("-1", BACKOFFS),
+        ("", BACKOFFS),
+    ],
+)
+def test_http_backend_honours_retry_after_seconds(monkeypatch, retry_after, naps):
+    """A 429's or 503's Retry-After in delay-seconds replaces the wait
+    before the next attempt, capped at MAX_RETRY_AFTER_SECONDS; an
+    HTTP-date or a malformed value keeps the backoff, and so does a fault
+    that carries no header (here a truncated body)."""
+    schedule = (429, TRUNCATED, 503)
+    replies = [(200, completion_payload(GOOD))] * 2
+    recorded = []
+    with judge_server(
+        monkeypatch,
+        replies=replies,
+        faults=lambda body, attempt: schedule[attempt] if attempt < 3 else None,
+        retry_after=retry_after,
+    ) as server:
+        raw, _ = HttpBackend(sleeper=recorded.append).complete(
+            live_endpoint(server), PAIR_MATCH, bindings(), "s", "u"
+        )
+    assert raw == GOOD
+    assert [r["fault"] for r in server.requests] == [*schedule, None]
+    assert recorded == naps
+
+
 def test_http_backend_no_retry_on_400(monkeypatch):
     with judge_server(monkeypatch, replies=[(400, {})]) as server:
         backend = HttpBackend(sleeper=lambda s: None)

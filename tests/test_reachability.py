@@ -38,7 +38,7 @@ def test_every_top_level_definition_is_read():
     ]
     entry_points = (
         set(feedbacklab._SUBMODULE_OF)
-        | {handler.__name__ for handler in cli._HANDLERS.values()}
+        | {command.handler.__name__ for command in cli.COMMANDS.values()}
         | referenced_names(ast.parse(CONTRACT.read_text()))
     )
     unread = []
