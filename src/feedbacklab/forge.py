@@ -317,7 +317,7 @@ class PreferencePair:
 @dataclass(frozen=True)
 class TrainingManifest(Record):
     kind: str
-    dataset_path: str
+    dataset_path: str  # relative to the manifest, which sits beside it
     record_count: int
     hyperparameters: Mapping[str, Any]
     prompt_version: str
@@ -379,7 +379,7 @@ def build_sft(
             raise PipelineError(f"build_sft: no successful units in split {split!r}")
     return TrainingManifest(
         kind="sft",
-        dataset_path=str(out_path),
+        dataset_path=out_path.name,
         record_count=count,
         hyperparameters=SFT_HYPERPARAMETERS,
         prompt_version=GENERATION_PROMPT_VERSION,
@@ -540,7 +540,7 @@ def build_dpo(
             raise PipelineError(f"build_dpo: no pairs produced for split {split!r}")
     return TrainingManifest(
         kind="dpo",
-        dataset_path=str(out_path),
+        dataset_path=out_path.name,
         record_count=count,
         hyperparameters=DPO_HYPERPARAMETERS,
         prompt_version=GENERATION_PROMPT_VERSION,

@@ -15,11 +15,9 @@ import logging
 import math
 import os
 import string
-import struct
 import sys
 import threading
 import time
-import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -28,7 +26,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Iterable,
     Iterator,
     Mapping,
     Protocol,
@@ -36,7 +33,8 @@ from typing import (
     TypeVar,
 )
 
-from .core import atomic_write, canonical_json
+from . import segments
+from .core import canonical_json
 from .errors import ConfigError, JudgeError, JudgeFormatError, PipelineError
 
 if TYPE_CHECKING:
@@ -53,29 +51,6 @@ BACKOFF_BASE_SECONDS = 0.5
 MAX_RETRY_AFTER_SECONDS = 60  # the longest Retry-After wait honoured
 # Texts per embeddings POST; larger batches are split and the rows joined.
 MAX_EMBED_BATCH = 256
-# Every cache segment (see JudgeClient's cache section) starts with
-# SEGMENT_MAGIC, the record count and the crc32 of its entry table; each
-# entry is a raw sha256 cache key, its record's byte length and the
-# record's crc32. An older layout fails the magic, and is deleted.
-SEGMENT_MAGIC = b"FLC\x04"
-_SEGMENT_HEAD = struct.Struct("<4sII")
-_SEGMENT_ENTRY = struct.Struct("<32sII")
-# Embedding rows are little-endian float32, the precision embedding
-# endpoints serve; embed() widens them to float64. A row's record is the
-# byte of each value that holds its sign and exponent (byte 3), as a raw
-# Huffman-only DEFLATE stream (RFC 1951), then the other three bytes of
-# each value, in value order, as they are. Embeddings use few exponents,
-# so the coded plane takes about 0.4 of its bytes, while the low bytes
-# would not shrink. numpy is imported only in the functions that handle
-# vectors, so commands that never embed start without it.
-SEGMENT_DTYPE = "<f4"
-# Completion records are zlib streams at this level, each compressed
-# against its own prompt as a preset dictionary (RFC 1950's FDICT), since
-# a reply repeats its prompt's keys, labels and quoted spans. On 1.1 MB of
-# thread_parse replies, level 1 wrote 5% more bytes than level 6 in two
-# thirds of its time. The dictionary's Adler-32 in the stream's header
-# turns a record read under another prompt into a miss.
-ZLIB_LEVEL = 1
 # A top-level map() writes its new completion records in segments that it
 # cuts at item boundaries once this many records have gathered.
 SEGMENT_RECORDS = 32
@@ -668,91 +643,18 @@ def _extract_json(raw: str) -> Any:
     raise json.JSONDecodeError("no JSON value found", raw, 0)
 
 
-def _warn_unreadable(segment: Path) -> None:
-    logger.warning(
-        "judge cache: unreadable entry %s, treated as a miss", segment.name
-    )
-
-
 def _embedding_key_material(model_name: str, text: str) -> bytes:
     """What an embedding's cache key hashes: the model name, prefixed by
     its length so that no (model, text) pair runs into another, then the
     text."""
     model = model_name.encode("utf-8")
-    return b"emb\0" + struct.pack("<I", len(model)) + model + text.encode("utf-8")
-
-
-def _deflate(data: bytes, prompt: bytes) -> bytes:
-    codec = zlib.compressobj(ZLIB_LEVEL, zdict=prompt)
-    return codec.compress(data) + codec.flush()
-
-
-def _inflate(record: bytes, prompt: bytes) -> bytes:
-    """_deflate reversed; zlib.error unless record is one whole stream
-    compressed against prompt."""
-    codec = zlib.decompressobj(zdict=prompt)
-    data = codec.decompress(record)
-    if not codec.eof or codec.unused_data:
-        raise zlib.error("not one whole stream")
-    return data
-
-
-def _pack_row(row: bytes) -> bytes:
-    """The embedding record of a little-endian float32 row (see
-    SEGMENT_DTYPE). Z_HUFFMAN_ONLY matches no strings, so a 9-bit window
-    is enough, and memLevel 6 still codes a plane of up to 4,094 values
-    as one block, the same bytes as the default 8. Both keep the coder's
-    set-up small: it costs more than coding a plane."""
-    codec = zlib.compressobj(1, zlib.DEFLATED, -9, 6, zlib.Z_HUFFMAN_ONLY)
-    lows = bytearray(row)
-    del lows[3::4]
-    return codec.compress(row[3::4]) + codec.flush() + lows
-
-
-def _unpack_rows(records: Sequence[bytes]) -> list[np.ndarray | None]:
-    """_pack_row reversed, as float32 views of one array that a single
-    pass puts together. A record is None unless its stream ends and
-    exactly three low bytes per byte the stream decodes to follow it."""
-    import numpy as np
-
-    planes: list[bytes] = []
-    lows: list[bytes] = []
-    sizes: list[int | None] = []
-    for record in records:
-        codec = zlib.decompressobj(-9)
-        try:
-            plane = codec.decompress(record)
-        except zlib.error:
-            plane = None
-        if plane is not None and codec.eof and len(codec.unused_data) == 3 * len(plane):
-            planes.append(plane)
-            lows.append(codec.unused_data)
-            sizes.append(len(plane))
-        else:
-            sizes.append(None)
-    values = np.empty(sum(map(len, planes)), [("low", "V3"), ("high", "u1")])
-    values["high"] = np.frombuffer(b"".join(planes), np.uint8)
-    values["low"] = np.frombuffer(b"".join(lows), "V3")
-    flat = values.view(SEGMENT_DTYPE)
-    unpacked: list[np.ndarray | None] = []
-    offset = 0
-    for size in sizes:
-        if size is None:
-            unpacked.append(None)
-        else:
-            unpacked.append(flat[offset : offset + size])
-            offset += size
-    return unpacked
+    return b"emb\0" + len(model).to_bytes(4, "little") + model + text.encode("utf-8")
 
 
 def _off_cpu_clock() -> float:
     """Wall time less this thread's CPU time: it advances only while the
     thread is off the CPU (sleeping, blocked on I/O, or preempted)."""
     return time.perf_counter() - time.thread_time()
-
-
-# Where a cached record is: (segment, byte offset, byte length, crc32).
-_Entry = tuple[Path, int, int, int]
 
 
 class _Budget:
@@ -813,14 +715,7 @@ class JudgeClient:
 
     def __init__(self, backend: Backend, cache_dir: str | Path | None = None):
         self.backend = backend
-        self.cache_dir = Path(cache_dir) if cache_dir else None
-        if self.cache_dir:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-        # Guards cache writes and the segment index.
-        self._lock = threading.Lock()
-        # Cache key -> (segment, byte offset of its record, byte length,
-        # crc32), built from the segments' entry tables by the first lookup.
-        self._segments: dict[bytes, _Entry] | None = None
+        self._store = segments.Store(cache_dir)
         self._budgets: dict[tuple[str, int], _Budget] = {}
         self._budgets_lock = threading.Lock()
         self._mode = _Mode()
@@ -847,21 +742,7 @@ class JudgeClient:
         if waited and self._mode.waited is None:
             self._mode.waited = budget
 
-    # -- cache ---------------------------------------------------------
-    #
-    # The cache directory holds content-addressed segments,
-    # <kind>-<sha256 of their raw keys>.bin: SEGMENT_MAGIC, the record
-    # count and the crc32 of the entry table, then the table (each raw
-    # sha256 key, with its record's byte length and crc32), then the
-    # records back to back. Embedding segments (emb-, one per embed() call
-    # that missed) hold one SEGMENT_DTYPE row per key, packed by
-    # _pack_row; embed() rounds fresh vectors through SEGMENT_DTYPE too,
-    # so a hit returns a miss's vector bit for bit. Completion segments
-    # (cmp-, written by map() and complete()) hold one zlib stream per
-    # key, compressed against the prompt the key hashes: the reply's usage
-    # as a canonical-JSON line, then the reply's UTF-8 bytes. Only the
-    # tables are kept in memory; records are read from disk, and checked,
-    # on each hit.
+    # -- completion ----------------------------------------------------
 
     def _cache_key(
         self,
@@ -881,159 +762,6 @@ class JudgeClient:
             }
         )
         return hashlib.sha256(material.encode("utf-8")).digest()
-
-    def _segment_index(self) -> dict[bytes, _Entry]:
-        """The key -> entry index; hold self._lock."""
-        if self._segments is None:
-            self._segments = {}
-            if self.cache_dir:
-                unreadable = [
-                    path
-                    for path in sorted(self.cache_dir.iterdir())
-                    if path.suffix == ".bin" and not self._index_segment(path)
-                ]
-                # A segment whose table fails its checks (a torn file, or
-                # an older layout) is a miss for all its keys, and is
-                # deleted: a rewrite replaces it only if the same keys miss
-                # together, and never an older layout's file, whose name
-                # hashed hex keys. atomic_write never leaves a partial
-                # segment under its final name, so none is deleted mid-write.
-                for path in unreadable:
-                    path.unlink(missing_ok=True)
-                if unreadable:
-                    # One warning, which names the first few.
-                    named = [f"unreadable entry {p.name}" for p in unreadable[:5]]
-                    if len(unreadable) > len(named):
-                        named.append(f"and {len(unreadable) - len(named)} more")
-                    logger.warning(
-                        "judge cache: %d unreadable segment(s) deleted, treated "
-                        "as misses: %s",
-                        len(unreadable),
-                        ", ".join(named),
-                    )
-        return self._segments
-
-    def _index_segment(self, path: Path) -> bool:
-        """Index a segment's entries; False if its table is unreadable."""
-        with open(path, "rb") as fh:
-            head = fh.read(_SEGMENT_HEAD.size)
-            size = os.fstat(fh.fileno()).st_size
-            if len(head) < _SEGMENT_HEAD.size:
-                return False
-            magic, count, crc = _SEGMENT_HEAD.unpack(head)
-            offset = _SEGMENT_HEAD.size + count * _SEGMENT_ENTRY.size
-            if magic != SEGMENT_MAGIC or offset > size:
-                return False
-            table = fh.read(offset - _SEGMENT_HEAD.size)
-        entries = list(_SEGMENT_ENTRY.iter_unpack(table))
-        if zlib.crc32(table) != crc or size != offset + sum(n for _, n, _ in entries):
-            return False
-        self._index_entries(path, offset, entries)
-        return True
-
-    def _index_entries(
-        self, path: Path, offset: int, entries: Iterable[tuple[bytes, int, int]]
-    ) -> None:
-        for key, size, crc in entries:
-            self._segments[key] = (path, offset, size, crc)
-            offset += size
-
-    def _read_records(self, found: Mapping[bytes, _Entry]) -> dict[bytes, bytes]:
-        """Cached records by key, with one read per segment touched. A
-        segment that is gone or holds a record that fails its crc32 is
-        torn, and its keys are left out."""
-        by_segment: dict[Path, list[tuple[bytes, _Entry]]] = {}
-        for key, entry in found.items():
-            by_segment.setdefault(entry[0], []).append((key, entry))
-        records: dict[bytes, bytes] = {}
-        for path, entries in by_segment.items():
-            start = min(offset for _, (_, offset, _, _) in entries)
-            end = max(offset + size for _, (_, offset, size, _) in entries)
-            try:
-                with open(path, "rb") as fh:
-                    fh.seek(start)
-                    data = fh.read(end - start)
-            except FileNotFoundError:
-                data = b""
-            got = {
-                key: data[offset - start : offset - start + size]
-                for key, (_, offset, size, _) in entries
-            }
-            if all(
-                len(got[key]) == size and zlib.crc32(got[key]) == crc
-                for key, (_, _, size, crc) in entries
-            ):
-                records.update(got)
-            else:
-                self._tear(*entries[0])
-        return records
-
-    def _tear(self, key: bytes, found: _Entry) -> None:
-        """Drop the segment that holds key: all its keys leave the index
-        and miss, and the file is deleted, so it cannot shadow the
-        segments the fresh records go to. A read that raced such a tear
-        finds its key gone or moved, and only misses."""
-        with self._lock:
-            index = self._segment_index()
-            if index.get(key) == found:
-                path = found[0]
-                for torn in [k for k, entry in index.items() if entry[0] == path]:
-                    del index[torn]
-                path.unlink(missing_ok=True)
-                _warn_unreadable(path)
-
-    def _write_segment(self, kind: str, records: Sequence[tuple[bytes, bytes]]) -> None:
-        """Write (key, record) pairs as one segment and index them."""
-        if not self.cache_dir:
-            return
-        entries = [(key, len(record), zlib.crc32(record)) for key, record in records]
-        table = b"".join(_SEGMENT_ENTRY.pack(*entry) for entry in entries)
-        head = _SEGMENT_HEAD.pack(SEGMENT_MAGIC, len(entries), zlib.crc32(table))
-        name = hashlib.sha256(b"".join(key for key, _ in records)).hexdigest()
-        path = self.cache_dir / f"{kind}-{name}.bin"
-        with self._lock:
-            with atomic_write(path, "wb") as fh:
-                fh.write(head + table)
-                fh.writelines(record for _, record in records)
-            self._segment_index()
-            self._index_entries(path, _SEGMENT_HEAD.size + len(table), entries)
-
-    def _cache_read(self, key: bytes, prompt: bytes) -> tuple[str, Any] | None:
-        """(reply, usage) cached under a completion key, or None."""
-        if not self.cache_dir:
-            return None
-        with self._lock:
-            found = self._segment_index().get(key)
-        if found is None:
-            return None
-        record = self._read_records({key: found}).get(key)
-        if record is None:
-            return None
-        try:
-            usage, _, raw = _inflate(record, prompt).partition(b"\n")
-            return raw.decode("utf-8"), json.loads(usage)
-        except (zlib.error, ValueError):
-            # A whole record that is not this prompt's reply tears its
-            # segment too.
-            self._tear(key, found)
-            return None
-
-    def _cache_write(
-        self, key: bytes, prompt: bytes, raw: str, usage: Mapping[str, Any]
-    ) -> None:
-        """Keep a fresh reply: with the current map item's records, or,
-        outside any map, as a one-record segment."""
-        if not self.cache_dir:
-            return
-        record = _deflate(
-            canonical_json(usage).encode() + b"\n" + raw.encode("utf-8"), prompt
-        )
-        if self._mode.records is None:
-            self._write_segment("cmp", [(key, record)])
-        else:
-            self._mode.records.append((key, record))
-
-    # -- completion ----------------------------------------------------
 
     def _validate(self, template: PromptTemplate, raw: str) -> Any:
         try:
@@ -1056,56 +784,55 @@ class JudgeClient:
         # The dictionary that key's record is compressed against; a
         # repaired reply's too, though its repair prompt differs.
         prompt = (system_text + "\n" + user_text).encode("utf-8")
-        cached = self._cache_read(key, prompt)
+        decode = functools.partial(segments.decode_replies, prompt)
+        cached = self._store.read([key], decode).get(key)
         if cached is not None:
             raw, usage = cached
-            # The reply was validated before it was cached.
-            return JudgeResponse(
-                raw_text=raw,
-                parsed=_extract_json(raw),
-                usage=usage,
-                cache_hit=True,
-                template_version=template.version,
-            )
-
-        with self._backend_slot(endpoint):
-            raw, usage = self.backend.complete(
-                endpoint, template, bindings, system_text, user_text
-            )
-        try:
-            parsed = self._validate(template, raw)
-        except ValueError as first_error:
-            logger.warning(
-                "judge %s: invalid response (%s), attempting repair",
-                template.name,
-                first_error,
-            )
-            repair_user = (
-                user_text
-                + "\n\nYour previous reply could not be used: "
-                + str(first_error)
-                + "\nReturn only a corrected JSON value matching the "
-                "required structure."
-            )
+            parsed = _extract_json(raw)  # validated before it was cached
+        else:
             with self._backend_slot(endpoint):
                 raw, usage = self.backend.complete(
-                    endpoint, template, bindings, system_text, repair_user
+                    endpoint, template, bindings, system_text, user_text
                 )
             try:
                 parsed = self._validate(template, raw)
-            except ValueError as second_error:
-                raise JudgeFormatError(
-                    f"judge {template.name}: response failed validation after "
-                    f"repair attempt: {second_error}",
-                    raw_text=raw,
-                ) from None
-
-        self._cache_write(key, prompt, raw, usage)
+            except ValueError as first_error:
+                logger.warning(
+                    "judge %s: invalid response (%s), attempting repair",
+                    template.name,
+                    first_error,
+                )
+                repair_user = (
+                    user_text
+                    + "\n\nYour previous reply could not be used: "
+                    + str(first_error)
+                    + "\nReturn only a corrected JSON value matching the "
+                    "required structure."
+                )
+                with self._backend_slot(endpoint):
+                    raw, usage = self.backend.complete(
+                        endpoint, template, bindings, system_text, repair_user
+                    )
+                try:
+                    parsed = self._validate(template, raw)
+                except ValueError as second_error:
+                    raise JudgeFormatError(
+                        f"judge {template.name}: response failed validation "
+                        f"after repair attempt: {second_error}",
+                        raw_text=raw,
+                    ) from None
+            # Kept with the current map item's records, or, outside any map,
+            # written as a one-record segment.
+            record = segments.encode_reply(raw, usage, prompt)
+            if self._mode.records is None:
+                self._store.write("cmp", [(key, record)])
+            else:
+                self._mode.records.append((key, record))
         return JudgeResponse(
             raw_text=raw,
             parsed=parsed,
             usage=usage,
-            cache_hit=False,
+            cache_hit=cached is not None,
             template_version=template.version,
         )
 
@@ -1139,7 +866,7 @@ class JudgeClient:
         """
         mode = self._mode
         if mode.records is None:
-            batch = _Batch(functools.partial(self._write_segment, "cmp"))
+            batch = _Batch(functools.partial(self._store.write, "cmp"))
         else:
             batch = None
         keep = batch.add if batch else mode.records.extend
@@ -1210,11 +937,9 @@ class JudgeClient:
     ) -> list[np.ndarray]:
         """L2-normalized embedding per text, cached per (model, text).
 
-        Texts cached by any earlier call are read from their segments (a
-        record that fails its crc32, or does not decode to a row, tears
-        its segment, whose texts miss); the others go to the backend in
-        one call, each distinct text once, and are written as one new
-        segment. Every vector is the backend's rounded to SEGMENT_DTYPE
+        Texts cached by any earlier call are read from their segments;
+        the others go to the backend in one call, each distinct text
+        once, and are written as one new segment. Every vector is the backend's rounded to segments.ROW_DTYPE
         (float32) and widened back to float64, so a miss and a later hit
         return the same array.
         """
@@ -1226,21 +951,8 @@ class JudgeClient:
             hashlib.sha256(_embedding_key_material(endpoint.model_name, t)).digest()
             for t in texts
         ]
-        with self._lock:
-            index = self._segment_index()
-            found = {k: index[k] for k in keys if k in index}
-        records = self._read_records(found)
-        rows = dict(zip(records, _unpack_rows(list(records.values()))))
-        # A whole record that is not a row tears its segment, as a failed
-        # crc32 does, and all the segment's texts miss.
-        torn = {found[key][0]: key for key, row in rows.items() if row is None}
-        for key in torn.values():
-            self._tear(key, found[key])
-        vectors = {
-            key: row.astype(float)
-            for key, row in rows.items()
-            if found[key][0] not in torn
-        }
+        cached = self._store.read(keys, segments.unpack_rows)
+        vectors = {key: row.astype(float) for key, row in cached.items()}
         text_of = {k: t for k, t in zip(keys, texts) if k not in vectors}
         misses = list(text_of)
         if misses:
@@ -1249,16 +961,11 @@ class JudgeClient:
             if len(fresh) != len(misses):
                 raise JudgeError("backend returned wrong number of embeddings")
             for key, vec in zip(misses, fresh):
-                vectors[key] = np.asarray(vec, dtype=SEGMENT_DTYPE).astype(float)
+                vectors[key] = np.asarray(vec, segments.ROW_DTYPE).astype(float)
         dims = {v.shape[0] for v in vectors.values()}
         if len(dims) > 1:
             raise JudgeError(f"embedding dimension mismatch in batch: {dims}")
         if misses:
-            self._write_segment(
-                "emb",
-                [
-                    (k, _pack_row(vectors[k].astype(SEGMENT_DTYPE).tobytes()))
-                    for k in misses
-                ],
-            )
+            rows = [vectors[k].astype(segments.ROW_DTYPE).tobytes() for k in misses]
+            self._store.write("emb", list(zip(misses, map(segments.pack_row, rows))))
         return [vectors[k] for k in keys]

@@ -1,26 +1,31 @@
 """The judge cache's segment layout, stated apart from the code that
 writes it, for tests that read segments or plant them.
 
-A segment is b"FLC\\x04", the record count and the crc32 of the entry
+A segment is named <kind>-<hex>.bin. It is its kind's magic (LAYOUTS,
+version 1 of both kinds), the record count and the crc32 of the entry
 table (little-endian u32s), then the table, one entry per record (the
 raw 32-byte sha256 key, the record's byte length and its crc32), then
 the records back to back. An embedding record packs a little-endian
 float32 row of d values: a raw DEFLATE stream of the row's d
 sign/exponent bytes (byte 3 of each value), then its 3·d low bytes, in
-value order. b"FLC\\x03" segments, the layout before, held raw rows.
+value order. b"FLC\\x03" emb- segments, the layout before, held raw rows.
 """
 
 import struct
 import zlib
 from pathlib import Path
 
-MAGIC = b"FLC\x04"
+LAYOUTS = {"cmp": b"FLC\x04", "emb": b"FLC\x04"}
 HEAD = struct.Struct("<4sII")
 ENTRY = struct.Struct("<32sII")
 
 
-def segment_bytes(records, magic=MAGIC):
-    """A segment holding (key, record) pairs, in order."""
+def kind_of(path):
+    return Path(path).name.partition("-")[0]
+
+
+def segment_bytes(records, magic):
+    """A segment holding (key, record) pairs, in order, under magic."""
     table = b"".join(ENTRY.pack(k, len(r), zlib.crc32(r)) for k, r in records)
     return (
         HEAD.pack(magic, len(records), zlib.crc32(table))
@@ -39,7 +44,7 @@ def read_segment(path):
     data = Path(path).read_bytes()
     magic, count, crc = HEAD.unpack_from(data)
     table = data[HEAD.size : table_size(data)]
-    assert magic == MAGIC and zlib.crc32(table) == crc
+    assert magic == LAYOUTS[kind_of(path)] and zlib.crc32(table) == crc
     records, offset = [], len(table) + HEAD.size
     for key, size, record_crc in ENTRY.iter_unpack(table):
         records.append((key, data[offset : offset + size]))

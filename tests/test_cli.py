@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import feedbacklab
+from feedbacklab import segments
 from feedbacklab.cli import COMMANDS, main, run
 from feedbacklab.config import (
     JUDGE_TASKS,
@@ -214,6 +215,72 @@ def test_torn_cache_entry_is_a_miss_and_is_rewritten(tmp_path, caplog, monkeypat
     for segment in torn:
         assert caplog.text.count(f"unreadable entry {segment.name}") == 1
     assert snapshot(run_dir) == first
+
+
+def segment_state(cache: Path, kind: str) -> dict:
+    """Name -> (inode, mtime, bytes) of kind's segments: a rewrite changes
+    the inode."""
+    return {
+        p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes())
+        for p in sorted(cache.glob(f"{kind}-*.bin"))
+    }
+
+
+def test_new_embedding_layout_refetches_only_embeddings(tmp_path, caplog, monkeypatch):
+    args = [
+        "consensus-eval",
+        "--config",
+        FIXTURE_CONFIG,
+        "--set",
+        f"paths.runs_root={tmp_path}",
+    ]
+    completed, embedded = [], []
+    complete, embed = StubBackend.complete, StubBackend.embed
+
+    def recording_complete(self, endpoint, template, *rest):
+        completed.append(template.name)
+        return complete(self, endpoint, template, *rest)
+
+    def recording_embed(self, endpoint, texts):
+        embedded.extend(texts)
+        return embed(self, endpoint, texts)
+
+    monkeypatch.setattr(StubBackend, "complete", recording_complete)
+    monkeypatch.setattr(StubBackend, "embed", recording_embed)
+    assert main(args) == 0
+    cold_texts = sorted(embedded)
+    assert completed and cold_texts
+    run_dir = only_run_dir(tmp_path)
+    first = snapshot(run_dir)
+    cache = run_dir / "cache"
+    emb = sorted(cache.glob("emb-*.bin"))
+    replies = segment_state(cache, "cmp")
+    assert emb and replies
+
+    bumped = b"FLE\x01"
+    monkeypatch.setitem(segments.LAYOUTS, "emb", bumped)
+    completed.clear()
+    embedded.clear()
+    with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):
+        assert main(args) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"judge cache: {len(emb)} unreadable segment(s) deleted, treated as "
+        "misses: " + ", ".join(f"unreadable entry {p.name}" for p in emb)
+    ]
+    assert completed == [] and sorted(embedded) == cold_texts
+    assert segment_state(cache, "cmp") == replies
+    # The same texts went to segments of the same names, in the new layout.
+    assert sorted(cache.glob("emb-*.bin")) == emb
+    assert all(p.read_bytes().startswith(bumped) for p in emb)
+    assert {k: v for k, v in snapshot(run_dir).items() if "/emb-" not in k} == {
+        k: v for k, v in first.items() if "/emb-" not in k
+    }
+
+    caplog.clear()
+    embedded.clear()
+    with caplog.at_level(logging.WARNING, logger="feedbacklab.judge"):
+        assert main(args) == 0
+    assert caplog.records == [] and completed == [] and embedded == []
 
 
 def report_setup(tmp_path, command):
@@ -724,6 +791,21 @@ def test_forge_dpo_command(tmp_path):
         (run_dir / "artifacts" / "dpo_manifest.json").read_text()
     )
     assert manifest["kind"] == "dpo" and manifest["record_count"] == 2
+
+
+def test_forge_run_directory_holds_no_absolute_path(tmp_path):
+    # Each manifest names its dataset relative to itself, so a run
+    # directory can move, and its size does not depend on where it is.
+    cfg = forge_dpo_setup(tmp_path)
+    for command in ("forge-sft", "forge-dpo"):
+        assert main([command, "--config", cfg]) == 0
+    run_dir = only_run_dir(tmp_path / "runs")
+    for kind in ("sft", "dpo"):
+        manifest = json.loads((run_dir / "artifacts" / f"{kind}_manifest.json").read_text())
+        assert manifest["dataset_path"] == f"{kind}.jsonl"
+    files = [p for p in sorted(run_dir.rglob("*")) if p.is_file()]
+    assert "report.json" in {p.name for p in files}
+    assert [p for p in files if str(tmp_path).encode() in p.read_bytes()] == []
 
 
 def test_forge_dpo_logs_skipped_papers_in_paper_order(tmp_path):

@@ -29,6 +29,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feedbacklab import judge as judge_module
+from feedbacklab import segments
 from feedbacklab.core import canonical_json
 from feedbacklab.errors import (
     ConfigError,
@@ -55,6 +56,7 @@ from feedbacklab.prompts import (
     prompt_versions,
 )
 from cache_segments import (
+    LAYOUTS,
     read_segment,
     record_spans,
     segment_bytes,
@@ -932,6 +934,34 @@ def test_torn_segment_is_a_miss_and_is_rewritten(tmp_path, caplog, torn):
     assert segment.read_bytes() == whole
 
 
+def files_and_mtimes(directory):
+    return {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in directory.iterdir()}
+
+
+def test_scan_reads_a_cache_without_changing_it(tmp_path):
+    writer = JudgeClient(ScriptedBackend([GOOD]), cache_dir=tmp_path)
+    writer.embed(ENDPOINT, ["x", "y"])
+    writer.complete(ENDPOINT, PAIR_MATCH, bindings())
+    (emb,), (cmp_,) = tmp_path.glob("emb-*.bin"), tmp_path.glob("cmp-*.bin")
+    torn = tmp_path / "cmp-torn.bin"
+    torn.write_bytes(cmp_.read_bytes()[:-1])
+    # a whole segment, but its name gives no kind
+    unknown = tmp_path / "xyz-unknown.bin"
+    unknown.write_bytes(cmp_.read_bytes())
+    (tmp_path / "old.json").write_text("{}")  # not a segment: not read
+    before = files_and_mtimes(tmp_path)
+
+    index, unreadable = segments.scan(tmp_path)
+    assert unreadable == [torn, unknown]
+    planted = [(path, *pair) for path in (emb, cmp_) for pair in read_segment(path)]
+    assert sorted(index) == sorted(key for _, key, _ in planted)
+    for path, key, record in planted:
+        segment, offset, size, crc = index[key]
+        assert segment == path and path.read_bytes()[offset:][:size] == record
+        assert size == len(record) and crc == zlib.crc32(record)
+    assert files_and_mtimes(tmp_path) == before
+
+
 def old_embedding_segment(cache_dir, texts, dtype):
     """What an older version wrote for texts: a JSON header line of hex
     keys, then the rows as dtype."""
@@ -1022,7 +1052,7 @@ def test_raw_row_under_the_current_magic_tears_its_segment(tmp_path):
     cache_dir = tmp_path / "planted"
     cache_dir.mkdir()
     segment = cache_dir / fresh.name
-    segment.write_bytes(segment_bytes([x, (key, raw)]))
+    segment.write_bytes(segment_bytes([x, (key, raw)], LAYOUTS["emb"]))
 
     backend = RecordingStub()
     with Warnings() as warnings:
@@ -1065,13 +1095,13 @@ raw_rows = st.lists(float32_bits, min_size=1, max_size=300).map(
 @example([struct.pack("<11I", *SPECIAL_FLOAT32_BITS)])
 @example([b"\0\0\x80\x3f" * 1024])
 def test_packed_rows_give_back_their_bytes(rows):
-    unpacked = judge_module._unpack_rows([judge_module._pack_row(r) for r in rows])
+    unpacked = segments.unpack_rows([segments.pack_row(r) for r in rows])
     assert [u.dtype for u in unpacked] == [np.dtype("<f4")] * len(rows)
     assert [u.tobytes() for u in unpacked] == rows
 
 
 def test_record_that_is_not_a_packed_row_decodes_as_a_miss():
-    pack, unpack = judge_module._pack_row, judge_module._unpack_rows
+    pack, unpack = segments.pack_row, segments.unpack_rows
     rows = float32_rows(["x", "y"])
     packed = [pack(r) for r in rows]
     cut_short = [packed[0][:end] for end in range(len(packed[0]))]
@@ -1277,7 +1307,8 @@ def test_record_moved_under_another_key_is_a_torn_miss(tmp_path, caplog):
     ((_, record),) = read_segment(next((tmp_path / "w").iterdir()))
     segment = tmp_path / "moved" / "cmp-moved.bin"
     segment.parent.mkdir()
-    segment.write_bytes(segment_bytes([(cache_key(ENDPOINT, "b"), record)]))
+    planted = [(cache_key(ENDPOINT, "b"), record)]
+    segment.write_bytes(segment_bytes(planted, LAYOUTS["cmp"]))
 
     backend = EchoBackend(delay=0)
     client = JudgeClient(backend, cache_dir=segment.parent)
