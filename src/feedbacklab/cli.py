@@ -62,8 +62,14 @@ class RunContext:
         self.events: list[dict[str, Any]] = []
 
     def __enter__(self) -> "RunContext":
-        self.artifacts.mkdir(parents=True, exist_ok=True)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.artifacts.mkdir(parents=True, exist_ok=True)
+            self.cache_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # runs_root names a file, say
+            raise ConfigError(
+                f"paths.runs_root: cannot make run directory {self.run_dir}: "
+                f"{exc.strerror}"
+            ) from None
         # The kernel drops a flock when its holder dies. The file stays:
         # unlinking it would let two processes lock different inodes.
         self._lock_fd = os.open(self.run_dir / "lock", os.O_CREAT | os.O_RDWR)
@@ -669,7 +675,14 @@ def cmd_report(ctx: RunContext) -> EvalReport:
         )
     try:
         report = EvalReport.from_dict(json.loads(stored.read_text(encoding="utf-8")))
-    except (AttributeError, KeyError, TypeError, ValueError, PipelineError) as exc:
+    except (
+        AttributeError,
+        KeyError,
+        OSError,
+        TypeError,
+        ValueError,
+        PipelineError,
+    ) as exc:
         # A hand edit, say; the command that wrote it rebuilds it.
         raise PipelineError(
             f"report: stored report {stored} is unreadable "

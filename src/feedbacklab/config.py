@@ -358,7 +358,9 @@ def load_config(
         raise ConfigError(f"config file not found: {path}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"config {path} is unreadable: {exc.strerror}") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a JSON object")

@@ -174,7 +174,8 @@ def verify_and_filter(
         },
     )
     results = response.parsed["results"]
-    indices = sorted(r["rewrite_index"] for r in results)
+    # The schema lets an integer arrive as 1.0; it is read as an int here.
+    indices = sorted(int(r["rewrite_index"]) for r in results)
     if indices != list(range(len(shuffled))):
         raise JudgeFormatError(
             f"corruption_verify: rewrite indices {indices} do not cover "
@@ -183,13 +184,13 @@ def verify_and_filter(
         )
     verified: dict[str, CorruptionVariant] = {}
     for entry in results:
-        variant = shuffled[entry["rewrite_index"]]
+        variant = shuffled[int(entry["rewrite_index"])]
         verified[variant.dimension] = replace(
             variant,
             verification=VariantVerification(
                 predicted_dimension=entry["predicted_dimension"],
-                target_degradation=entry["target_degradation"],
-                collateral_preservation=entry["collateral_preservation"],
+                target_degradation=int(entry["target_degradation"]),
+                collateral_preservation=int(entry["collateral_preservation"]),
             ),
         )
     in_original_order = [verified[v.dimension] for v in variants]

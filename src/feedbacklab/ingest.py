@@ -59,7 +59,9 @@ def _read_manifest(root: Path) -> dict[str, Any]:
         raise IngestError(f"missing manifest: {path}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise IngestError(f"unreadable manifest {path}: {exc.strerror}") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise IngestError(f"malformed manifest {path}: {exc}") from None
     if not isinstance(data, dict) or not isinstance(data.get("splits"), dict):
         raise IngestError(f"manifest {path} must contain a 'splits' object")
@@ -82,19 +84,23 @@ def read_jsonl(
 ) -> Iterator[tuple[int, T]]:
     """(line number, parse(object)) for each nonblank line of a JSONL file.
 
-    A missing file, a line that is not JSON, or a value parse cannot read
-    (a missing key, a wrong type, a bad value, or a PipelineError from the
-    record's own checks) raises IngestError naming the path (and line).
+    A missing or unreadable file (a directory, say), a line that is not
+    UTF-8 or not JSON, or a value parse cannot read (a missing key, a
+    wrong type, a bad value, or a PipelineError from the record's own
+    checks) raises IngestError naming the path (and line).
     """
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, "rb")
     except FileNotFoundError:
         raise IngestError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise IngestError(f"{what} file unreadable: {path}: {exc.strerror}") from None
     with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 item = parse(json.loads(line))
             except (
                 AttributeError,

@@ -428,6 +428,10 @@ class StubBackend:
         try:
             with open(path, encoding="utf-8") as fh:
                 fixture = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(
+                f"stub fixture {path} is unreadable: {exc.strerror}"
+            ) from None
         except ValueError as exc:
             raise ConfigError(
                 f"stub fixture {path} is not valid JSON: {exc}"

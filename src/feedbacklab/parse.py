@@ -116,7 +116,8 @@ def parse_thread(
         paper_id=record.paper_id,
         reviewer_id=thread.reviewer_id,
         units=tuple(units),
-        dropped_note=response.parsed["skipped_positive_count"],
+        # a schema-valid integer may arrive as 2.0
+        dropped_note=int(response.parsed["skipped_positive_count"]),
         template_version=response.template_version,
     )
 

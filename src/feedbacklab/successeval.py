@@ -3,7 +3,9 @@
 A generated unit counts as a success when it passes the quality filter
 and the predicted author response satisfies the mode's conjunction
 (validity, actionability, or both). Units failing the quality filter
-stay in the denominator.
+stay in the denominator. evaluate_unit applies the quality rule to the
+quality_score reply as it arrives: the schema has already checked it,
+so a unit passes when each FILTER_DIMENSIONS score meets its threshold.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .core import (
 )
 from .errors import PipelineError
 from .judge import EndpointConfig, JudgeClient
-from .prompts import QUALITY_DIMENSIONS, QUALITY_SCORE, RESPONSE_PREDICT
+from .prompts import QUALITY_SCORE, RESPONSE_PREDICT
 from .stats import ci_summary, draw_without_replacement, keyed_rng
 
 
@@ -37,90 +39,6 @@ class SuccessMode(str, Enum):
     def filters_quality(self, in_proxy_modes: bool) -> bool:
         """Combined is always quality-filtered; the flag governs the rest."""
         return in_proxy_modes or self is SuccessMode.COMBINED
-
-
-@dataclass(frozen=True)
-class QualityScores:
-    """Integer Likert scores across the five quality dimensions."""
-
-    accuracy: int
-    prioritisation: int
-    constructive_tone: int
-    paper_specific_grounding: int
-    actionability: int
-
-    def __post_init__(self) -> None:
-        for dim in QUALITY_DIMENSIONS:
-            value = getattr(self, dim)
-            if not isinstance(value, int) or not 1 <= value <= 5:
-                raise PipelineError(f"quality score {dim}={value!r} outside 1..5")
-
-
-@dataclass(frozen=True)
-class PredictedResponse:
-    unit_id: str
-    predicted_validity: Validity
-    predicted_action: AuthorAction
-
-
-def score_quality(
-    client: JudgeClient,
-    endpoint: EndpointConfig,
-    unit: FeedbackUnit,
-    paper: PaperRecord,
-) -> QualityScores:
-    """Five-dimension Likert scoring of one unit by the judge."""
-    response = client.complete(
-        endpoint,
-        QUALITY_SCORE,
-        {
-            "title": paper.title,
-            "abstract": paper.abstract,
-            "feedback_text": unit.text,
-        },
-    )
-    parsed = response.parsed
-    return QualityScores(
-        accuracy=parsed["accuracy"]["score"],
-        prioritisation=parsed["prioritisation"]["score"],
-        constructive_tone=parsed["constructive_tone"]["score"],
-        paper_specific_grounding=parsed["paper_specific_grounding"]["score"],
-        actionability=parsed["actionability"]["score"],
-    )
-
-
-def passes_quality(
-    scores: QualityScores, thresholds: QualityThresholds
-) -> bool:
-    """True iff every filtering dimension meets its threshold."""
-    return all(
-        getattr(scores, dim) >= getattr(thresholds, dim)
-        for dim in FILTER_DIMENSIONS
-    )
-
-
-def predict_response(
-    client: JudgeClient,
-    endpoint: EndpointConfig,
-    unit: FeedbackUnit,
-    paper: PaperRecord,
-) -> PredictedResponse:
-    """Predicted author reaction to one unit, via the predictor endpoint."""
-    response = client.complete(
-        endpoint,
-        RESPONSE_PREDICT,
-        {
-            "title": paper.title,
-            "abstract": paper.abstract,
-            "feedback_text": unit.text,
-        },
-    )
-    parsed = response.parsed
-    return PredictedResponse(
-        unit_id=unit.id,
-        predicted_validity=Validity(parsed["validity"]),
-        predicted_action=AuthorAction(parsed["author_action"]),
-    )
 
 
 @dataclass(frozen=True)
@@ -155,14 +73,23 @@ def evaluate_unit(
     paper: PaperRecord,
     thresholds: QualityThresholds,
 ) -> UnitEvaluation:
-    scores = score_quality(client, scoring_endpoint, unit, paper)
-    prediction = predict_response(client, predictor_endpoint, unit, paper)
+    """Score one unit's quality, then predict the authors' response."""
+    bindings = {
+        "title": paper.title,
+        "abstract": paper.abstract,
+        "feedback_text": unit.text,
+    }
+    scores = client.complete(scoring_endpoint, QUALITY_SCORE, bindings)
+    prediction = client.complete(predictor_endpoint, RESPONSE_PREDICT, bindings)
     return UnitEvaluation(
         unit_id=unit.id,
         paper_id=paper.paper_id,
-        passes_quality=passes_quality(scores, thresholds),
-        predicted_validity=prediction.predicted_validity,
-        predicted_action=prediction.predicted_action,
+        passes_quality=all(
+            scores.parsed[dim]["score"] >= getattr(thresholds, dim)
+            for dim in FILTER_DIMENSIONS
+        ),
+        predicted_validity=Validity(prediction.parsed["validity"]),
+        predicted_action=AuthorAction(prediction.parsed["author_action"]),
     )
 
 

@@ -340,6 +340,20 @@ def test_report_on_a_damaged_stored_report_exits_3(tmp_path, capsys, damage):
     assert "rerun the pipeline command" in err and "Traceback" not in err
 
 
+def test_report_on_a_directory_stored_report_exits_3(tmp_path, capsys):
+    args = ["--config", FIXTURE_CONFIG, "--set", f"paths.runs_root={tmp_path}"]
+    assert main(["consensus-eval", *args]) == 0
+    stored = only_run_dir(tmp_path) / "artifacts" / "eval_report.json"
+    stored.unlink()
+    stored.mkdir()
+    capsys.readouterr()
+    assert main(["report", *args]) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(
+        f"error: report: stored report {stored} is unreadable (IsADirectoryError"
+    )
+
+
 HOLD_LOCK = """
 import fcntl, os, sys
 fd = os.open(sys.argv[1], os.O_CREAT | os.O_RDWR)
@@ -441,6 +455,51 @@ def test_bad_config_exits_2(tmp_path):
     cfg.write_text(json.dumps({"mode": "telepathy"}))
     assert main(["ingest", "--config", str(cfg)]) == 2
     assert main(["ingest", "--config", str(tmp_path / "absent.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (lambda p: p.mkdir(), "is unreadable: Is a directory"),
+        (
+            lambda p: p.write_bytes(b'{"split": "caf\xe9"}'),
+            "is not valid JSON: 'utf-8' codec can't decode byte 0xe9",
+        ),
+    ],
+    ids=["directory", "not_utf8"],
+)
+def test_unreadable_config_is_one_line_exit_2(tmp_path, capsys, spoil, message):
+    cfg = tmp_path / "config.json"
+    spoil(cfg)
+    assert main(["ingest", "--config", str(cfg)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: config {cfg} {message}")
+
+
+def test_directory_stub_fixture_is_one_line_exit_2(tmp_path, capsys):
+    fixture = tmp_path / "stub.json"
+    fixture.mkdir()
+    argv = ["consensus-eval", "--config", FIXTURE_CONFIG]
+    argv += ["--set", f"paths.runs_root={tmp_path / 'runs'}"]
+    argv += ["--set", f"stub_fixture={fixture}"]
+    assert main(argv) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"error: stub fixture {fixture} is unreadable: Is a directory"
+
+
+def test_runs_root_naming_a_file_is_one_line_exit_2(tmp_path, capsys):
+    runs_root = tmp_path / "runs"
+    runs_root.write_text("not a directory\n")
+    argv = ["consensus-eval", "--config", FIXTURE_CONFIG]
+    argv += ["--set", f"paths.runs_root={runs_root}"]
+    assert main(argv) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(
+        f"error: paths.runs_root: cannot make run directory "
+        f"{re.escape(str(runs_root))}/[0-9a-f]+: Not a directory",
+        line,
+    ), line
+    assert runs_root.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize(
@@ -1412,6 +1471,22 @@ def not_json(path):
     return f"{re.escape(str(path))}:1: malformed [a-z ]+: Expecting value: .*"
 
 
+def directory(path):
+    path.unlink()
+    path.mkdir()
+    return f"[a-z ]+ file unreadable: {re.escape(str(path))}: Is a directory"
+
+
+def not_utf8(path):
+    lineno = len(path.read_bytes().splitlines()) + 1
+    with path.open("ab") as fh:
+        fh.write(b'{"text": "caf\xe9"}\n')  # Latin-1, not UTF-8
+    return (
+        f"{re.escape(str(path))}:{lineno}: malformed [a-z ]+: 'utf-8' codec "
+        "can't decode byte 0xe9 in position \\d+: .*"
+    )
+
+
 def null_tag(path):
     record = json.loads(path.read_text())
     path.write_text(canonical_json({**record, "decision": None}) + "\n")
@@ -1483,6 +1558,48 @@ def test_non_json_input_line_is_one_error_line(
 ):
     assert_bad_input_is_one_error_line(
         tmp_path, capsys, monkeypatch, command, name, not_json
+    )
+
+
+@pytest.mark.parametrize("command, name", COMMAND_INPUTS)
+def test_directory_input_is_one_error_line(
+    tmp_path, capsys, monkeypatch, command, name
+):
+    assert_bad_input_is_one_error_line(
+        tmp_path, capsys, monkeypatch, command, name, directory
+    )
+
+
+@pytest.mark.parametrize("command, name", COMMAND_INPUTS)
+def test_non_utf8_input_line_is_one_error_line(
+    tmp_path, capsys, monkeypatch, command, name
+):
+    assert_bad_input_is_one_error_line(
+        tmp_path, capsys, monkeypatch, command, name, not_utf8
+    )
+
+
+def manifest_directory(path):
+    path.unlink()
+    path.mkdir()
+    return f"unreadable manifest {re.escape(str(path))}: Is a directory"
+
+
+def manifest_not_utf8(path):
+    path.write_bytes(b'{"format_version": 1, "splits": {"caf\xe9": []}}')
+    return (
+        f"malformed manifest {re.escape(str(path))}: 'utf-8' codec can't "
+        "decode byte 0xe9 in position \\d+: .*"
+    )
+
+
+@pytest.mark.parametrize("spoil", [manifest_directory, manifest_not_utf8])
+@pytest.mark.parametrize("command", [c for c, _ in CORPUS_INPUTS])
+def test_unreadable_manifest_is_one_error_line(
+    tmp_path, capsys, monkeypatch, command, spoil
+):
+    assert_bad_input_is_one_error_line(
+        tmp_path, capsys, monkeypatch, command, "manifest.json", spoil
     )
 
 

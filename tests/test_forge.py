@@ -225,6 +225,40 @@ def test_verify_rejects_bad_index_cover():
         verify_and_filter(client, ENDPOINT, make_variants(u), u, p)
 
 
+def test_verify_reads_integral_float_replies_as_ints():
+    # JSON Schema counts 1.0 as an integer, so such a reply is valid
+    class FloatBackend(ForgeBackend):
+        def complete(self, endpoint, template, bindings, system_text, user_text):
+            raw, usage = super().complete(
+                endpoint, template, bindings, system_text, user_text
+            )
+            if template.name != "corruption_verify":
+                return raw, usage
+            data = json.loads(raw)
+            for entry in data["results"]:
+                for key in (
+                    "rewrite_index",
+                    "target_degradation",
+                    "collateral_preservation",
+                ):
+                    entry[key] = float(entry[key])
+            return canonical_json(data), usage
+
+    u = hunit("p1", "r1", "integral float probe")
+    p = paper("p1", [u])
+    verdicts = {variant_text("vague", u): ("vague", 1, 3)}
+    want = verify_and_filter(
+        JudgeClient(ForgeBackend(verdicts)), ENDPOINT, make_variants(u), u, p
+    )
+    got = verify_and_filter(
+        JudgeClient(FloatBackend(verdicts)), ENDPOINT, make_variants(u), u, p
+    )
+    assert got == want
+    for row in got[1].per_dimension.values():
+        assert type(row["target_degradation"]) is int
+        assert type(row["collateral_preservation"]) is int
+
+
 def test_verify_requires_variants():
     u = hunit("p1", "r1", "x")
     with pytest.raises(PipelineError):

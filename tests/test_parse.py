@@ -11,6 +11,7 @@ from feedbacklab.core import (
     Speaker,
     Turn,
     Validity,
+    canonical_json,
     make_unit_id,
 )
 from feedbacklab.errors import JudgeFormatError, PipelineError, StatsError
@@ -127,6 +128,16 @@ def test_parse_thread_happy_path():
     audit = result.to_audit_dict()
     assert audit["unit_count"] == 2
     assert "cache_hit" not in audit  # persisted audits must be run-stable
+
+
+def test_parse_thread_reads_an_integral_float_count_as_an_int():
+    # JSON Schema counts 2.0 as an integer, so the reply is valid
+    rec = record()
+    conv = render_conversation(rec.threads[0])
+    client = stub_for({conv: [judge_unit("a point")]}, skipped=2.0)
+    result = parse_thread(client, ENDPOINT, rec, rec.threads[0])
+    assert type(result.dropped_note) is int and result.dropped_note == 2
+    assert '"dropped_note":2,' in canonical_json(result.to_audit_dict())
 
 
 def test_parse_thread_empty_is_valid():

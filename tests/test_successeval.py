@@ -17,20 +17,16 @@ from feedbacklab.core import (
     Validity,
     make_unit_id,
 )
-from feedbacklab.errors import ConfigError, PipelineError
+from feedbacklab.errors import ConfigError, JudgeFormatError, PipelineError
 from feedbacklab.judge import EndpointConfig, JudgeClient, StubBackend
 from feedbacklab.prompts import QUALITY_DIMENSIONS
 from feedbacklab.successeval import (
     FILTER_DIMENSIONS,
-    QualityScores,
     QualityThresholds,
     SuccessMode,
     UnitEvaluation,
     bootstrap_eval,
     evaluate_unit,
-    passes_quality,
-    predict_response,
-    score_quality,
     success_rate,
 )
 
@@ -60,12 +56,6 @@ def paper_record(pid="p1"):
             ),
         ),
     )
-
-
-def scores(**overrides):
-    values = dict.fromkeys(QUALITY_DIMENSIONS, 5)
-    values.update(overrides)
-    return QualityScores(**values)
 
 
 def evaluation(
@@ -112,47 +102,24 @@ def test_filter_dimensions_and_default_thresholds():
         QualityThresholds(prioritisation=5.5)
 
 
-def test_passes_quality_thresholds_are_inclusive():
-    t = QualityThresholds()
-    assert passes_quality(scores(), t)
-    # integer scores sit strictly below the default cutoffs at 4
-    for dim in FILTER_DIMENSIONS:
-        assert not passes_quality(scores(**{dim: 4}), t)
-    # actionability never filters
-    assert passes_quality(scores(actionability=1), t)
-    flat = QualityThresholds(
-        accuracy=4.0,
-        paper_specific_grounding=4.0,
-        constructive_tone=4.0,
-        prioritisation=4.0,
-    )
-    assert passes_quality(scores(accuracy=4), flat)  # >= is inclusive
-    assert not passes_quality(scores(accuracy=3), flat)
-
-
-def test_quality_scores_validation():
-    with pytest.raises(PipelineError):
-        scores(accuracy=0)
-    with pytest.raises(PipelineError):
-        scores(actionability=6)
-    with pytest.raises(PipelineError):
-        scores(accuracy=4.5)
-
-
 # ---- judged scoring and prediction ----
 
 
-def quality_stub(score=5, except_dim=None, except_score=None):
-    payload = {
-        d: {"score": score, "justification": "scripted"}
-        for d in QUALITY_DIMENSIONS
+def quality_reply(score=5, **overrides):
+    values = dict.fromkeys(QUALITY_DIMENSIONS, score)
+    values.update(overrides)
+    return {
+        d: {"score": v, "justification": "scripted"} for d, v in values.items()
     }
-    if except_dim:
-        payload[except_dim] = {
-            "score": except_score,
-            "justification": "scripted",
-        }
-    return payload
+
+
+AGREED_REVISE = {"validity": "agreed", "author_action": "will_revise"}
+FLAT = QualityThresholds(
+    accuracy=4.0,
+    paper_specific_grounding=4.0,
+    constructive_tone=4.0,
+    prioritisation=4.0,
+)
 
 
 def make_client(quality=None, prediction=None):
@@ -164,29 +131,88 @@ def make_client(quality=None, prediction=None):
     return JudgeClient(StubBackend({"templates": templates}))
 
 
+def evaluate(quality, prediction=AGREED_REVISE, thresholds=None):
+    return evaluate_unit(
+        make_client(quality=quality, prediction=prediction),
+        ENDPOINT,
+        ENDPOINT,
+        munit(),
+        paper_record(),
+        thresholds or QualityThresholds(),
+    )
+
+
+def passes(thresholds, **scores):
+    return evaluate(quality_reply(**scores), thresholds=thresholds).passes_quality
+
+
+def test_passes_quality_thresholds_are_inclusive():
+    t = QualityThresholds()
+    assert passes(t)
+    # integer scores sit strictly below the default cutoffs at 4
+    for dim in FILTER_DIMENSIONS:
+        assert not passes(t, **{dim: 4})
+    # actionability never filters
+    assert passes(t, actionability=1)
+    assert passes(FLAT, accuracy=4)  # >= is inclusive
+    assert not passes(FLAT, accuracy=3)
+
+
+def test_quality_scores_validation():
+    # out-of-range and fractional scores fail the schema; the stub
+    # repeats itself, so the single repair fails too
+    for bad in ({"accuracy": 0}, {"actionability": 6}, {"accuracy": 4.5}):
+        client = make_client(quality=quality_reply(**bad))
+        calls = []
+        complete = client.backend.complete
+        client.backend.complete = lambda *a: calls.append(a) or complete(*a)
+        with pytest.raises(JudgeFormatError):
+            evaluate_unit(
+                client,
+                ENDPOINT,
+                ENDPOINT,
+                munit(),
+                paper_record(),
+                QualityThresholds(),
+            )
+        assert len(calls) == 2
+    # JSON Schema counts an integral float as an integer
+    outcomes = set()
+    for t in (QualityThresholds(), FLAT):
+        for score, accuracy in ((5, 4), (4, 5), (5, 5)):
+            as_ints = evaluate(quality_reply(score, accuracy=accuracy), thresholds=t)
+            as_floats = evaluate(
+                quality_reply(float(score), accuracy=float(accuracy)),
+                thresholds=t,
+            )
+            assert as_floats == as_ints
+            outcomes.add(as_ints.passes_quality)
+    assert outcomes == {True, False}
+
+
 def test_score_quality_via_judge():
-    client = make_client(quality=quality_stub(5, "prioritisation", 2))
-    got = score_quality(client, ENDPOINT, munit(), paper_record())
-    assert got.prioritisation == 2
-    assert got.accuracy == 5
+    ev = evaluate(quality_reply(5, prioritisation=2))
+    assert not ev.passes_quality
+    assert ev.unit_id == "m1" and ev.paper_id == "p1"
+    assert evaluate(quality_reply(5)).passes_quality
 
 
 def test_predict_response_via_judge():
-    client = make_client(
+    ev = evaluate(
+        quality_reply(5),
         prediction={
             "validity": "agreed",
             "author_action": "defer_future_work",
             "response_text": "will add in a revision",
-        }
+        },
     )
-    got = predict_response(client, ENDPOINT, munit(), paper_record())
-    assert got.predicted_validity is Validity.AGREED
-    assert got.predicted_action is AuthorAction.DEFER_FUTURE_WORK
+    assert ev.predicted_validity is Validity.AGREED
+    assert ev.predicted_action is AuthorAction.DEFER_FUTURE_WORK
 
 
 def test_evaluate_unit_combines_both_judgments():
     client = make_client(
-        quality=quality_stub(5),
+        quality=quality_reply(5),
         prediction={"validity": "rebutted", "author_action": "will_revise"},
     )
     ev = evaluate_unit(
