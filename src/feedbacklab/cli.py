@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import fcntl
-import json
 import os
 import sys
 import traceback
@@ -24,7 +23,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Sequence
 
 from .config import PipelineConfig, config_hash, load_config
 from .core import FeedbackUnit, PaperRecord, Source, canonical_json, make_unit_id
-from .core import atomic_write
+from .core import atomic_write, read_json, read_jsonl
 from .errors import ConfigError, FeedbackLabError, IngestError, PipelineError
 from .ingest import (
     DatasetStore,
@@ -32,7 +31,6 @@ from .ingest import (
     load_annotations,
     load_corpus,
     majority_vote,
-    read_jsonl,
     save_corpus,
 )
 from .judge import HttpBackend, JudgeClient, StubBackend
@@ -72,7 +70,13 @@ class RunContext:
             ) from None
         # The kernel drops a flock when its holder dies. The file stays:
         # unlinking it would let two processes lock different inodes.
-        self._lock_fd = os.open(self.run_dir / "lock", os.O_CREAT | os.O_RDWR)
+        lock = self.run_dir / "lock"
+        try:
+            self._lock_fd = os.open(lock, os.O_CREAT | os.O_RDWR)
+        except OSError as exc:  # a directory, say
+            raise PipelineError(
+                f"cannot open run directory lock {lock}: {exc.strerror}"
+            ) from None
         try:
             fcntl.flock(self._lock_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
@@ -81,8 +85,14 @@ class RunContext:
                 f"run directory {self.run_dir} is locked by another process"
             ) from None
         # A .tmp here is a killed writer's; no other process writes now.
-        for tmp in self.run_dir.rglob("*.tmp"):
-            tmp.unlink()
+        try:
+            for tmp in self.run_dir.rglob("*.tmp"):
+                tmp.unlink()
+        except OSError as exc:  # a directory named x.tmp, say
+            os.close(self._lock_fd)
+            raise PipelineError(
+                f"cannot remove stale {exc.filename}: {exc.strerror}"
+            ) from None
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -668,27 +678,7 @@ def cmd_success_eval(
 
 def cmd_report(ctx: RunContext) -> EvalReport:
     stored = ctx.artifacts / "eval_report.json"
-    if not stored.exists():
-        raise PipelineError(
-            f"report: no stored report at {stored}; run a pipeline command "
-            "with this config first"
-        )
-    try:
-        report = EvalReport.from_dict(json.loads(stored.read_text(encoding="utf-8")))
-    except (
-        AttributeError,
-        KeyError,
-        OSError,
-        TypeError,
-        ValueError,
-        PipelineError,
-    ) as exc:
-        # A hand edit, say; the command that wrote it rebuilds it.
-        raise PipelineError(
-            f"report: stored report {stored} is unreadable "
-            f"({type(exc).__name__}: {exc}); rerun the pipeline command "
-            "with this config"
-        ) from None
+    report = read_json(stored, EvalReport.from_dict, "stored report", IngestError)
     ctx.render(report)
     return report
 

@@ -14,7 +14,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .core import canonical_json
+from .core import canonical_json, read_json
 from .errors import ConfigError
 from .judge import EndpointConfig
 
@@ -328,10 +328,12 @@ def parse_config(
             f"thresholds.delta={thresholds.delta} exceeds sampling.k={sampling.k}"
         )
 
-    if mode == "stub" and stub_fixture and isinstance(stub_fixture, str):
-        fixture_path = (base_dir / stub_fixture).resolve()
-        if not fixture_path.exists():
-            errors.append(f"stub_fixture {fixture_path} does not exist")
+    # Paths become file names, and no file name holds a NUL.
+    named = {"stub_fixture": stub_fixture}
+    named.update((f"paths.{f.name}", getattr(paths, f.name)) for f in fields(paths))
+    for key, value in named.items():
+        if isinstance(value, str) and "\0" in value:
+            errors.append(f"{key} contains a NUL byte")
 
     if errors:
         raise ConfigError(
@@ -350,18 +352,15 @@ def parse_config(
     )
 
 
+def _json_object(data: Any) -> dict[str, Any]:
+    if not isinstance(data, dict):
+        raise ConfigError("must be a JSON object")
+    return data
+
+
 def load_config(
     path: str | Path, overrides: Sequence[str] = ()
 ) -> PipelineConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"config {path} is unreadable: {exc.strerror}") from None
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
+    data = read_json(path, _json_object, "config", ConfigError)
     return parse_config(data, base_dir=path.parent.resolve(), overrides=overrides)

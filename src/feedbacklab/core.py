@@ -7,6 +7,12 @@ stored record inherits Record, whose to_dict and from_dict follow one set
 of rules (enums as lowercase strings, sets as sorted lists, absent
 optionals omitted). Re-serializing a loaded object must reproduce the
 original bytes.
+
+This module also owns the file I/O conventions: atomic_write is the one
+writer, and read_json and read_jsonl are the one reader of input files,
+so a missing, unreadable or malformed file is reported in one wording.
+Only the judge cache's segments, whose binary layout segments owns, are
+opened elsewhere.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ from typing import (
     TypeVar,
     Union,
 )
+
+from .errors import FeedbackLabError, IngestError
 
 
 class Validity(str, Enum):
@@ -140,6 +148,64 @@ def atomic_write(path: Path, mode: str = "w") -> Iterator[IO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+# What a parse function raises for a value it cannot read: a missing
+# key, a wrong type, a bad value, or a record's own check. Bytes that are
+# not UTF-8 or not JSON raise ValueError too.
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError, FeedbackLabError)
+
+T = TypeVar("T")
+
+
+def _open_input(
+    path: str | Path, what: str, error: type[FeedbackLabError]
+) -> IO[bytes]:
+    try:
+        return open(path, "rb")
+    except FileNotFoundError:
+        raise error(f"{what} file not found: {path}") from None
+    except OSError as exc:  # a directory, say
+        raise error(f"{what} file unreadable: {path}: {exc.strerror}") from None
+
+
+def read_json(
+    path: str | Path,
+    parse: Callable[[Any], T],
+    what: str,
+    error: type[FeedbackLabError],
+) -> T:
+    """parse(the file's one JSON value). A missing or unreadable file, bytes
+    that are not UTF-8 or not JSON, or a value parse rejects raises error
+    naming the path."""
+    with _open_input(path, what, error) as fh:
+        raw = fh.read()
+    try:
+        return parse(json.loads(raw.decode("utf-8")))
+    except _MALFORMED as exc:
+        raise error(f"{path}: malformed {what}: {exc}") from None
+
+
+def read_jsonl(
+    path: str | Path, parse: Callable[[Any], T], what: str
+) -> Iterator[tuple[int, T]]:
+    """(line number, parse(object)) for each nonblank line of a JSONL file.
+
+    Faults are reported as read_json reports them, as IngestError, with
+    the line number after the path.
+    """
+    with _open_input(path, what, IngestError) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                item = parse(json.loads(line))
+            except _MALFORMED as exc:
+                raise IngestError(
+                    f"{path}:{lineno}: malformed {what}: {exc}"
+                ) from None
+            yield lineno, item
 
 
 def content_hash(*parts: str) -> str:

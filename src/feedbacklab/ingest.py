@@ -11,19 +11,16 @@ reproduces the original bytes.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Any, Iterable, Mapping, Sequence
 
 from .core import AuthorAction, PaperRecord, Validity, canonical_json
-from .core import Record, atomic_write
+from .core import Record, atomic_write, read_json, read_jsonl
 from .errors import IngestError, PipelineError
 
 FORMAT_VERSION = 1
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -53,72 +50,28 @@ class DatasetStore:
         }
 
 
-def _read_manifest(root: Path) -> dict[str, Any]:
-    path = root / "manifest.json"
-    if not path.exists():
-        raise IngestError(f"missing manifest: {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise IngestError(f"unreadable manifest {path}: {exc.strerror}") from None
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise IngestError(f"malformed manifest {path}: {exc}") from None
+def _manifest(data: Any) -> dict[str, list[str]]:
+    """The manifest's splits, if data has the manifest's shape."""
     if not isinstance(data, dict) or not isinstance(data.get("splits"), dict):
-        raise IngestError(f"manifest {path} must contain a 'splits' object")
+        raise IngestError("must contain a 'splits' object")
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise IngestError(
-            f"manifest {path}: unsupported format_version {version!r}, "
-            f"expected {FORMAT_VERSION}"
+            f"unsupported format_version {version!r}, expected {FORMAT_VERSION}"
         )
     for split, ids in data["splits"].items():
+        # A split names its records file, records/<split>.jsonl.
+        if "/" in split or "\0" in split:
+            raise IngestError(f"split name {split!r} contains '/' or NUL")
         if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
-            raise IngestError(
-                f"manifest {path}: split {split!r} must be a list of string ids"
-            )
-    return data
-
-
-def read_jsonl(
-    path: str | Path, parse: Callable[[Any], T], what: str
-) -> Iterator[tuple[int, T]]:
-    """(line number, parse(object)) for each nonblank line of a JSONL file.
-
-    A missing or unreadable file (a directory, say), a line that is not
-    UTF-8 or not JSON, or a value parse cannot read (a missing key, a
-    wrong type, a bad value, or a PipelineError from the record's own
-    checks) raises IngestError naming the path (and line).
-    """
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        raise IngestError(f"{what} file not found: {path}") from None
-    except OSError as exc:
-        raise IngestError(f"{what} file unreadable: {path}: {exc.strerror}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                item = parse(json.loads(line))
-            except (
-                AttributeError,
-                KeyError,
-                TypeError,
-                ValueError,
-                PipelineError,
-            ) as exc:
-                raise IngestError(
-                    f"{path}:{lineno}: malformed {what}: {exc}"
-                ) from None
-            yield lineno, item
+            raise IngestError(f"split {split!r} must be a list of string ids")
+    return data["splits"]
 
 
 def load_corpus(root: str | Path) -> DatasetStore:
     """Load and validate a dataset store from its root directory."""
     root = Path(root)
-    splits = _read_manifest(root)["splits"]
+    splits = read_json(root / "manifest.json", _manifest, "manifest", IngestError)
     records: dict[str, PaperRecord] = {}
     for split, ids in splits.items():
         path = root / "records" / f"{split}.jsonl"

@@ -34,7 +34,7 @@ from typing import (
 )
 
 from . import segments
-from .core import canonical_json
+from .core import canonical_json, read_json
 from .errors import ConfigError, JudgeError, JudgeFormatError, PipelineError
 
 if TYPE_CHECKING:
@@ -425,21 +425,7 @@ class StubBackend:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "StubBackend":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                fixture = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(
-                f"stub fixture {path} is unreadable: {exc.strerror}"
-            ) from None
-        except ValueError as exc:
-            raise ConfigError(
-                f"stub fixture {path} is not valid JSON: {exc}"
-            ) from None
-        try:
-            return cls(fixture)
-        except ConfigError as exc:
-            raise ConfigError(f"stub fixture {path}: {exc}") from None
+        return read_json(path, cls, "stub fixture", ConfigError)
 
     def complete(
         self,

@@ -322,22 +322,33 @@ def test_report_requires_a_stored_run(tmp_path):
     assert rc == 3
 
 
-@pytest.mark.parametrize("damage", ["truncated", "no tables", "no details"])
+@pytest.mark.parametrize(
+    "damage", ["truncated", "no tables", "no details", "missing", "not an object"]
+)
 def test_report_on_a_damaged_stored_report_exits_3(tmp_path, capsys, damage):
     args = ["--config", FIXTURE_CONFIG, "--set", f"paths.runs_root={tmp_path}"]
     assert main(["consensus-eval", *args]) == 0
     stored = only_run_dir(tmp_path) / "artifacts" / "eval_report.json"
+    message = f"{stored}: malformed stored report: "
     if damage == "truncated":
         stored.write_bytes(stored.read_bytes()[: stored.stat().st_size // 2])
+        message += "Unterminated string"
+    elif damage == "missing":
+        stored.unlink()
+        message = f"stored report file not found: {stored}"
+    elif damage == "not an object":
+        stored.write_text("[]")
+        message += "list indices must be integers or slices, not str"
     else:
         data = json.loads(stored.read_text())
-        del data[damage.removeprefix("no ")]
+        key = damage.removeprefix("no ")
+        del data[key]
         stored.write_text(json.dumps(data))
+        message += repr(key)
     capsys.readouterr()
     assert main(["report", *args]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: report: stored report {stored} is unreadable")
-    assert "rerun the pipeline command" in err and "Traceback" not in err
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {message}"), line
 
 
 def test_report_on_a_directory_stored_report_exits_3(tmp_path, capsys):
@@ -349,9 +360,7 @@ def test_report_on_a_directory_stored_report_exits_3(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", *args]) == 3
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith(
-        f"error: report: stored report {stored} is unreadable (IsADirectoryError"
-    )
+    assert line == f"error: stored report file unreadable: {stored}: Is a directory"
 
 
 HOLD_LOCK = """
@@ -397,6 +406,26 @@ def test_locked_run_dir_fails_cleanly(tmp_path, capsys):
             holder.kill()
     # the kernel dropped the lock when its holder was killed
     assert main(args) == 0
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("lock", "cannot open run directory lock {path}: Is a directory"),
+        ("artifacts/x.tmp", "cannot remove stale {path}: Is a directory"),
+    ],
+    ids=["lock", "tmp"],
+)
+def test_run_directory_fault_is_one_line_exit_3(tmp_path, capsys, name, message):
+    config = load_config(FIXTURE_CONFIG, [f"paths.runs_root={tmp_path}"])
+    run_dir = tmp_path / config_hash(config)[:16]
+    (run_dir / name).mkdir(parents=True)
+    argv = ["ingest", "--config", FIXTURE_CONFIG]
+    assert main([*argv, "--set", f"paths.runs_root={tmp_path}"]) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "error: " + message.format(path=run_dir / name)
+    if name != "lock":
+        assert_unlocked(run_dir)
 
 
 def test_lock_released_after_failure(tmp_path):
@@ -460,31 +489,53 @@ def test_bad_config_exits_2(tmp_path):
 @pytest.mark.parametrize(
     "spoil, message",
     [
-        (lambda p: p.mkdir(), "is unreadable: Is a directory"),
+        (lambda p: p.mkdir(), "config file unreadable: {path}: Is a directory"),
         (
             lambda p: p.write_bytes(b'{"split": "caf\xe9"}'),
-            "is not valid JSON: 'utf-8' codec can't decode byte 0xe9",
+            "{path}: malformed config: 'utf-8' codec can't decode byte 0xe9",
+        ),
+        (lambda p: None, "config file not found: {path}"),
+        (
+            lambda p: p.write_text("not json"),
+            "{path}: malformed config: Expecting value: line 1 column 1",
+        ),
+        (
+            lambda p: p.write_text('["mode", "stub"]'),
+            "{path}: malformed config: must be a JSON object",
         ),
     ],
-    ids=["directory", "not_utf8"],
+    ids=["directory", "not_utf8", "missing", "not_json", "not_an_object"],
 )
 def test_unreadable_config_is_one_line_exit_2(tmp_path, capsys, spoil, message):
     cfg = tmp_path / "config.json"
     spoil(cfg)
     assert main(["ingest", "--config", str(cfg)]) == 2
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith(f"error: config {cfg} {message}")
+    assert line.startswith("error: " + message.format(path=cfg)), line
 
 
-def test_directory_stub_fixture_is_one_line_exit_2(tmp_path, capsys):
-    fixture = tmp_path / "stub.json"
-    fixture.mkdir()
+def stub_fixture_error(tmp_path, capsys, fixture) -> str:
+    """The one stderr line of consensus-eval on the fixture config with
+    this stub fixture, which must exit 2."""
     argv = ["consensus-eval", "--config", FIXTURE_CONFIG]
     argv += ["--set", f"paths.runs_root={tmp_path / 'runs'}"]
     argv += ["--set", f"stub_fixture={fixture}"]
     assert main(argv) == 2
     [line] = capsys.readouterr().err.splitlines()
-    assert line == f"error: stub fixture {fixture} is unreadable: Is a directory"
+    return line
+
+
+def test_directory_stub_fixture_is_one_line_exit_2(tmp_path, capsys):
+    fixture = tmp_path / "stub.json"
+    fixture.mkdir()
+    line = stub_fixture_error(tmp_path, capsys, fixture)
+    assert line == f"error: stub fixture file unreadable: {fixture}: Is a directory"
+
+
+def test_missing_stub_fixture_is_one_line_exit_2(tmp_path, capsys):
+    fixture = tmp_path / "stub.json"
+    line = stub_fixture_error(tmp_path, capsys, fixture)
+    assert line == f"error: stub fixture file not found: {fixture}"
 
 
 def test_runs_root_naming_a_file_is_one_line_exit_2(tmp_path, capsys):
@@ -524,6 +575,9 @@ def test_runs_root_naming_a_file_is_one_line_exit_2(tmp_path, capsys):
             "thresholds.quality.accuracy must be a number",
         ),
         ({"thresholds": {"delta": 6}}, "thresholds.delta=6 exceeds sampling.k=5"),
+        ({"stub_fixture": "a\0b"}, "stub_fixture contains a NUL byte"),
+        ({"paths": {"corpus_root": "a\0b"}}, "paths.corpus_root contains a NUL byte"),
+        ({"paths": {"runs_root": "\0"}}, "paths.runs_root contains a NUL byte"),
     ],
 )
 def test_malformed_config_section_exits_2(tmp_path, capsys, data, message):
@@ -561,14 +615,8 @@ def test_malformed_config_section_exits_2(tmp_path, capsys, data, message):
 def test_malformed_stub_fixture_exits_2(tmp_path, capsys, contents):
     fixture = tmp_path / "stub.json"
     fixture.write_text(contents)
-    argv = ["consensus-eval", "--config", FIXTURE_CONFIG]
-    argv += ["--set", f"paths.runs_root={tmp_path / 'runs'}"]
-    argv += ["--set", f"stub_fixture={fixture}"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    [line] = err.splitlines()
-    assert line.startswith(f"error: stub fixture {fixture}")
+    line = stub_fixture_error(tmp_path, capsys, fixture)
+    assert line.startswith(f"error: {fixture}: malformed stub fixture: "), line
 
 
 def test_unknown_command_rejected_by_parser():
@@ -1582,18 +1630,68 @@ def test_non_utf8_input_line_is_one_error_line(
 def manifest_directory(path):
     path.unlink()
     path.mkdir()
-    return f"unreadable manifest {re.escape(str(path))}: Is a directory"
+    return f"manifest file unreadable: {re.escape(str(path))}: Is a directory"
 
 
 def manifest_not_utf8(path):
     path.write_bytes(b'{"format_version": 1, "splits": {"caf\xe9": []}}')
     return (
-        f"malformed manifest {re.escape(str(path))}: 'utf-8' codec can't "
+        f"{re.escape(str(path))}: malformed manifest: 'utf-8' codec can't "
         "decode byte 0xe9 in position \\d+: .*"
     )
 
 
-@pytest.mark.parametrize("spoil", [manifest_directory, manifest_not_utf8])
+def manifest_missing(path):
+    path.unlink()
+    return f"manifest file not found: {re.escape(str(path))}"
+
+
+def manifest_not_json(path):
+    path.write_text("not json\n")
+    return f"{re.escape(str(path))}: malformed manifest: Expecting value: .*"
+
+
+def manifest_not_an_object(path):
+    path.write_text('[{"format_version": 1, "splits": {}}]\n')
+    return (
+        f"{re.escape(str(path))}: malformed manifest: must contain a 'splits' object"
+    )
+
+
+def add_split(path, name):
+    """Add an empty split `name` to the manifest at path; return the
+    pattern of the error that name must raise."""
+    manifest = json.loads(path.read_text())
+    manifest["splits"][name] = []
+    path.write_text(canonical_json(manifest) + "\n")
+    message = f"split name {name!r} contains '/' or NUL"
+    return f"{re.escape(str(path))}: malformed manifest: {re.escape(message)}"
+
+
+def manifest_split_with_slash(path):
+    # With its records file in place, so only the name is at fault.
+    records = path.parent / "records" / "a" / "b.jsonl"
+    records.parent.mkdir()
+    records.write_text("")
+    return add_split(path, "a/b")
+
+
+def manifest_split_with_nul(path):
+    return add_split(path, "a\0b")
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        manifest_directory,
+        manifest_not_utf8,
+        manifest_missing,
+        manifest_not_json,
+        manifest_not_an_object,
+        manifest_split_with_slash,
+        manifest_split_with_nul,
+    ],
+)
 @pytest.mark.parametrize("command", [c for c, _ in CORPUS_INPUTS])
 def test_unreadable_manifest_is_one_error_line(
     tmp_path, capsys, monkeypatch, command, spoil
